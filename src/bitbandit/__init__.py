@@ -43,7 +43,6 @@ from .env import (
 from .known import (
     ActionMap,
     LinUcb,
-    agent_round_known,
     build_action_map,
     estimate_xstar,
     exact_xstar,
@@ -51,13 +50,12 @@ from .known import (
     misspecify_xstar,
     run_known,
     run_naive_baseline,
+    simulate,
     theta_net,
 )
 from .unknown import (
     UnknownLearnerState,
-    agent_round_unknown,
     apply_update,
-    learner_update_unknown,
     new_learner_state,
     run_full_precision,
     run_unknown,

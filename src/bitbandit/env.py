@@ -16,10 +16,10 @@ Conventions, applied identically to every algorithm so comparisons are fair:
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -179,17 +179,28 @@ class EnvironmentSpec:
         return problems
 
     def digest(self) -> str:
-        """Stable hash of the spec, recorded in traces for provenance."""
-        payload = {
-            "d": self.d,
-            "n_actions": self.n_actions,
-            "theta_star": self.theta_star.tolist(),
-            "context_model": repr(self.context_model),
-            "noise_model": repr(self.noise_model),
-            "horizon": self.horizon,
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        """Stable hash of the spec, recorded in traces for provenance.
+
+        Every field is hashed by type, dtype, shape and raw bytes, never by its
+        printed form, which NumPy abbreviates for large arrays.
+        """
+        h = hashlib.sha256()
+        _hash_into(h, self)
+        return h.hexdigest()[:16]
+
+
+def _hash_into(h, value) -> None:
+    """Feed a dataclass, a sequence or an array-like into hash ``h`` unambiguously."""
+    if dataclasses.is_dataclass(value):
+        value = [type(value).__name__] + [getattr(value, f.name)
+                                          for f in dataclasses.fields(value)]
+    if isinstance(value, (tuple, list)):
+        h.update(b"[%d]" % len(value))
+        for item in value:
+            _hash_into(h, item)
+    else:
+        arr = np.ascontiguousarray(value)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode() + arr.tobytes())
 
 
 # --------------------------------------------------------------------------

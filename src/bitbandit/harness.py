@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -71,19 +71,31 @@ class ConfigValidationError(ValueError):
         super().__init__("invalid config:\n" + "\n".join(f"  - {p}" for p in problems))
 
 
+def _numeric(default, minimum):
+    """A numeric AlgorithmConfig field: its default and its smallest valid value."""
+    return field(default=default, metadata={"min": minimum})
+
+
 @dataclass
 class AlgorithmConfig:
+    """The config's ``algorithm`` section, one field per key; parsing coerces the
+    int and float fields (_CASTS) and bounds them below by ``metadata["min"]``."""
+
     kind: str
     theta_grid: list | None = None        # explicit grid for the known-dist learner
-    net_points: int | None = None         # or: deterministic net of this many points
+    net_points: int | None = _numeric(None, 1)  # or: deterministic net of this many points
     xstar_method: str = "auto"            # auto | exact | monte-carlo
-    xstar_samples: int = 100_000
-    xstar_seed: int = 0
-    misspec_epsilon: float = 0.0
-    misspec_seed: int = 0
-    ridge: float = 1.0
-    solve_min_rounds: int | None = None   # unknown-dist: skip solve until this round
-    pilot_rounds: int = 0                 # unknown-dist: excitation dry-run length
+    xstar_samples: int = _numeric(100_000, 1)
+    xstar_seed: int = _numeric(0, 0)
+    misspec_epsilon: float = _numeric(0.0, 0.0)
+    misspec_seed: int = _numeric(0, 0)
+    ridge: float = 1.0                    # must be positive, checked on parsing
+    solve_min_rounds: int | None = _numeric(None, 0)  # unknown-dist: first solving round
+    pilot_rounds: int = _numeric(0, 0)    # unknown-dist: excitation dry-run length
+
+
+# Annotation (a string, under postponed evaluation) -> type a config value is coerced to.
+_CASTS = {"int": int, "int | None": int, "float": float}
 
 
 @dataclass
@@ -133,6 +145,25 @@ def _parse_noise_model(node, problems):
     return None
 
 
+def _coerce(value, cast, name: str, problems: list[str], minimum=None):
+    """``value`` as an int or a finite float, or None after appending a problem."""
+    try:  # booleans, non-integral floats and non-finite numbers are rejected
+        out = None if isinstance(value, bool) else cast(value)
+        if (cast is float and not math.isfinite(out)
+                or isinstance(value, float) and out != value):
+            out = None
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None:
+        problems.append(f"{name} must be {'an integer' if cast is int else 'a number'}, "
+                        f"got {value!r}")
+        return None
+    if minimum is not None and out < minimum:
+        problems.append(f"{name} must be >= {minimum}, got {value!r}")
+        return None
+    return out
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a config dict, raising ConfigValidationError listing every problem."""
     problems: list[str] = []
@@ -148,17 +179,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
     else:
         cm = _parse_context_model(env_node.get("context_model", {}), problems)
         nm = _parse_noise_model(env_node.get("noise_model", {}), problems)
-        if cm is not None and nm is not None:
+        sizes = [_coerce(env_node.get(key), int, f"environment.{key}", problems)
+                 for key in ("d", "actions", "horizon")]
+        if cm is not None and nm is not None and None not in sizes:
             try:
                 spec = EnvironmentSpec(
-                    d=int(env_node.get("d", 0)),
-                    n_actions=int(env_node.get("actions", 0)),
+                    d=sizes[0],
+                    n_actions=sizes[1],
                     theta_star=np.asarray(env_node.get("theta_star", []), dtype=float),
                     context_model=cm,
                     noise_model=nm,
-                    horizon=int(env_node.get("horizon", -1)),
+                    horizon=sizes[2],
                 )
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 problems.append(str(exc))
 
     algo_node = raw.get("algorithm")
@@ -170,43 +203,32 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if kind not in ALGORITHM_KINDS:
             problems.append(f"algorithm.kind must be one of {ALGORITHM_KINDS}, got {kind!r}")
         else:
-            known_keys = {
-                "kind", "theta_grid", "net_points", "xstar_method", "xstar_samples",
-                "xstar_seed", "misspec_epsilon", "misspec_seed", "ridge",
-                "solve_min_rounds", "pilot_rounds",
-            }
+            known_keys = {f.name for f in fields(AlgorithmConfig)}
             for key in algo_node:
                 if key not in known_keys:
                     problems.append(f"algorithm: unknown key {key!r}")
-            algo = AlgorithmConfig(
-                kind=kind,
-                theta_grid=algo_node.get("theta_grid"),
-                net_points=algo_node.get("net_points"),
-                xstar_method=algo_node.get("xstar_method", "auto"),
-                xstar_samples=int(algo_node.get("xstar_samples", 100_000)),
-                xstar_seed=int(algo_node.get("xstar_seed", 0)),
-                misspec_epsilon=float(algo_node.get("misspec_epsilon", 0.0)),
-                misspec_seed=int(algo_node.get("misspec_seed", 0)),
-                ridge=float(algo_node.get("ridge", 1.0)),
-                solve_min_rounds=algo_node.get("solve_min_rounds"),
-                pilot_rounds=int(algo_node.get("pilot_rounds", 0)),
-            )
+            values = {}
+            for f in fields(AlgorithmConfig):
+                value = algo_node.get(f.name, f.default)
+                if f.type in _CASTS and (value is not None or f.default is not None):
+                    value = _coerce(value, _CASTS[f.type], f"algorithm.{f.name}",
+                                    problems, f.metadata.get("min"))
+                values[f.name] = f.default if value is None else value
+            algo = AlgorithmConfig(**values)
             if kind == "known" and not algo.theta_grid and not algo.net_points:
                 problems.append("known-dist learner needs theta_grid or net_points")
             if algo.xstar_method not in ("auto", "exact", "monte-carlo"):
                 problems.append(f"unknown xstar_method {algo.xstar_method!r}")
-            if algo.misspec_epsilon < 0:
-                problems.append("misspec_epsilon must be nonnegative")
             if algo.ridge <= 0:
                 problems.append("ridge must be positive")
 
     seeds = raw.get("seeds")
     if not isinstance(seeds, list) or not seeds:
         problems.append("'seeds' must be a non-empty list of integers")
-    elif not all(isinstance(s, int) for s in seeds):
-        problems.append("'seeds' entries must be integers")
-    elif len(set(seeds)) != len(seeds):
-        problems.append("'seeds' entries must be distinct")
+    else:
+        seeds = [_coerce(s, int, "'seeds' entry", problems, 0) for s in seeds]
+        if None not in seeds and len(set(seeds)) != len(seeds):
+            problems.append("'seeds' entries must be distinct")
 
     output_dir = raw.get("output_dir")
     if not isinstance(output_dir, str) or not output_dir:
@@ -216,7 +238,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigValidationError(problems)
     return ExperimentConfig(
         schema=SCHEMA_VERSION, spec=spec, algorithm=algo,
-        seeds=list(seeds), output_dir=output_dir,
+        seeds=seeds, output_dir=output_dir,
     )
 
 
@@ -255,13 +277,10 @@ def _noise_model_to_dict(nm) -> dict:
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Plain-types dict that parses back to an equivalent config."""
     algo = {"kind": cfg.algorithm.kind}
-    defaults = AlgorithmConfig(kind=cfg.algorithm.kind)
-    for fname in ("theta_grid", "net_points", "xstar_method", "xstar_samples",
-                  "xstar_seed", "misspec_epsilon", "misspec_seed", "ridge",
-                  "solve_min_rounds", "pilot_rounds"):
-        value = getattr(cfg.algorithm, fname)
-        if value != getattr(defaults, fname):
-            algo[fname] = value
+    for f in fields(AlgorithmConfig):
+        value = getattr(cfg.algorithm, f.name)
+        if value != f.default:
+            algo[f.name] = value
     return {
         "schema": cfg.schema,
         "environment": {
@@ -326,17 +345,16 @@ def _misspecify_for_seed(cfg: ExperimentConfig, seed: int, amap):
 
 
 def _run_one_seed(cfg: ExperimentConfig, seed: int, amap) -> RegretTrace:
-    spec, algo, T = cfg.spec, cfg.algorithm, cfg.spec.horizon
+    spec, algo = cfg.spec, cfg.algorithm
     if algo.kind == "known":
-        return run_known(spec, T, _misspecify_for_seed(cfg, seed, amap), seed,
-                         lam=algo.ridge)
+        return run_known(spec, _misspecify_for_seed(cfg, seed, amap), seed, lam=algo.ridge)
     if algo.kind == "naive_mean":
-        return run_naive_baseline(spec, T, seed, lam=algo.ridge)
+        return run_naive_baseline(spec, seed, lam=algo.ridge)
     if algo.kind == "unknown":
-        return run_unknown(spec, T, seed, solve_min_rounds=algo.solve_min_rounds,
+        return run_unknown(spec, seed, solve_min_rounds=algo.solve_min_rounds,
                            pilot_rounds=algo.pilot_rounds)
     if algo.kind == "full_precision":
-        return run_full_precision(spec, T, seed, solve_min_rounds=algo.solve_min_rounds)
+        return run_full_precision(spec, seed, solve_min_rounds=algo.solve_min_rounds)
     raise ValueError(f"unknown algorithm kind {algo.kind!r}")
 
 

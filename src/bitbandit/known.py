@@ -6,6 +6,10 @@ mean of the greedy-played context under parameter ``theta``.  Each round it
 broadcasts the ``theta`` whose menu entry it wants probed; the agent plays
 greedily under that ``theta`` and uplinks a single stochastically-rounded
 reward bit.  Uplink cost: 1 bit per round, 0 bits per context.
+
+:func:`simulate` is the one per-round loop of every algorithm: an agent, a
+channel (one-bit here; lattice and exact in :mod:`bitbandit.unknown`) and a
+learner (LinUCB here; least squares in :mod:`bitbandit.unknown`).
 """
 
 from __future__ import annotations
@@ -31,7 +35,8 @@ __all__ = [
     "misspecify_xstar",
     "theta_net",
     "LinUcb",
-    "agent_round_known",
+    "one_bit_channel",
+    "simulate",
     "run_known",
     "run_naive_baseline",
 ]
@@ -50,9 +55,12 @@ def greedy_action(context_set: np.ndarray, theta: np.ndarray) -> int:
 # --------------------------------------------------------------------------
 
 def _finite_supports(spec: EnvironmentSpec):
-    """Per-action (vectors, probs) lists when the context law is finite, else None."""
+    """Per-action (vectors, probs) lists when the context law is finite and its
+    joint support, checked before any is built, has at most _ENUM_LIMIT points."""
     cm = spec.context_model
     if isinstance(cm, environment.BinarySupport):
+        if 2 ** (spec.d * spec.n_actions) > _ENUM_LIMIT:
+            return None
         coords = np.array([1.0, -1.0]) / math.sqrt(spec.d)
         out = []
         for p in cm.p_minus:
@@ -63,6 +71,8 @@ def _finite_supports(spec: EnvironmentSpec):
             out.append((vecs, probs))
         return out
     if isinstance(cm, environment.CustomDiscrete):
+        if math.prod(len(pr) for pr in cm.probs) > _ENUM_LIMIT:
+            return None
         return [
             (np.asarray(sup, dtype=float), np.asarray(pr, dtype=float))
             for sup, pr in zip(cm.supports, cm.probs)
@@ -80,8 +90,6 @@ def exact_xstar(spec: EnvironmentSpec, theta: np.ndarray) -> np.ndarray | None:
     if supports is None:
         return None
     sizes = [len(p) for _, p in supports]
-    if math.prod(sizes) > _ENUM_LIMIT:
-        return None
     theta = np.asarray(theta, dtype=float)
     acc = np.zeros(spec.d)
     for combo in itertools.product(*[range(s) for s in sizes]):
@@ -221,7 +229,7 @@ class LinUcb:
     select() and update() must alternate strictly, one pair per round.
     """
 
-    def __init__(self, actions, lam: float = 1.0, beta_fn=None):
+    def __init__(self, actions, lam: float = 1.0):
         self.actions = np.atleast_2d(np.asarray(actions, dtype=float))
         if self.actions.shape[0] < 1:
             raise ValueError("need at least one action")
@@ -233,9 +241,8 @@ class LinUcb:
         self.b = np.zeros(self.d)
         self.t = 0
         self._pending: int | None = None
-        self.beta_fn = beta_fn if beta_fn is not None else self._default_beta
 
-    def _default_beta(self, t: int) -> float:
+    def _beta(self, t: int) -> float:
         return math.sqrt(self.lam) + math.sqrt(
             2.0 * math.log(t) + self.d * math.log(1.0 + t / (self.lam * self.d))
         )
@@ -248,7 +255,7 @@ class LinUcb:
         theta = np.linalg.solve(self.V, self.b)
         vinv_x = np.linalg.solve(self.V, self.actions.T)  # (d, n)
         widths = np.sqrt(np.einsum("nd,dn->n", self.actions, vinv_x))
-        ucb = self.actions @ theta + self.beta_fn(self.t) * widths
+        ucb = self.actions @ theta + self._beta(self.t) * widths
         self._pending = int(np.argmax(ucb))
         return self._pending
 
@@ -263,67 +270,58 @@ class LinUcb:
 
 
 # --------------------------------------------------------------------------
-# round functions and simulation loops
+# the simulation loop and the one-bit channel
 # --------------------------------------------------------------------------
 
-def agent_round_known(theta_hat: np.ndarray, context_set: np.ndarray,
-                      spec: EnvironmentSpec, env_rng: np.random.Generator,
-                      quant_rng: np.random.Generator) -> tuple[KnownMessage, int]:
-    """Play greedily under theta_hat, observe a reward, return its 1-bit rounding."""
-    action = greedy_action(context_set, theta_hat)
-    r = environment.realize_reward(spec, context_set[action], env_rng)
-    bit = _REWARD_BIT.encode(r, quant_rng)
-    return KnownMessage(reward_bit=int(bit)), action
+def one_bit_channel(x: np.ndarray, r: float, quant_rng: np.random.Generator):
+    """The reward rounded to one bit, framed to bytes and parsed back; x stays put."""
+    buf = encode_known(KnownMessage(reward_bit=int(_REWARD_BIT.encode(r, quant_rng))))
+    msg = decode_known(BitBuffer.from_bytes(buf.to_bytes(), len(buf)))
+    return (msg.reward_bit,), len(buf)
 
 
-def _through_wire(msg: KnownMessage) -> int:
-    """Serialize, frame to bytes, parse back; returns the received reward bit."""
-    buf = encode_known(msg)
-    nbits = len(buf)
-    if nbits != 1:
-        raise AssertionError(f"known-distribution uplink must be 1 bit, got {nbits}")
-    parsed = decode_known(BitBuffer.from_bytes(buf.to_bytes(), nbits))
-    return parsed.reward_bit
+def simulate(spec: EnvironmentSpec, seed: int, broadcast, channel, learn,
+             rounds: int | None = None, rngs=None) -> RegretTrace:
+    """Run the agent/channel/learner loop for ``rounds`` (default spec.horizon) rounds.
 
-
-def run_known(spec: EnvironmentSpec, T: int, amap: ActionMap, seed: int,
-              lam: float = 1.0, beta_fn=None, policy=None) -> RegretTrace:
-    """Simulate the known-distribution learner/agent pair for T rounds."""
-    env_rng, quant_rng = _streams(seed)
-    if policy is None:
-        policy = LinUcb(amap.table, lam=lam, beta_fn=beta_fn)
+    ``broadcast()`` gives a theta, under which the agent plays greedily, or an
+    action index, played as is.  ``channel(x, r, quant_rng)`` returns what the
+    learner receives and its bits; ``learn(*received)`` feeds it in.  Draws
+    come from the seed's streams, or from ``rngs`` (env, quantizer) when given.
+    """
+    env_rng, quant_rng = _streams(seed) if rngs is None else rngs
     trace = RegretTrace(seed, spec.digest())
-    for _ in range(T):
-        i = policy.select()
-        theta_hat = amap.thetas[amap.inverse_index(i)]
+    for _ in range(spec.horizon if rounds is None else rounds):
+        order = broadcast()
         ctx = environment.sample_context(spec, env_rng)
-        msg, action = agent_round_known(theta_hat, ctx, spec, env_rng, quant_rng)
-        # decode the transported bit back to signed reward units (mean <x, theta*>)
-        policy.update(2.0 * _through_wire(msg) - 1.0)
-        regret_step(trace, ctx, spec.theta_star, action, bits=1)
+        action = order if isinstance(order, int) else greedy_action(ctx, order)
+        r = environment.realize_reward(spec, ctx[action], env_rng)
+        received, bits = channel(ctx[action], r, quant_rng)
+        learn(*received)
+        regret_step(trace, ctx, spec.theta_star, action, bits=bits)
     return trace
 
 
-def run_naive_baseline(spec: EnvironmentSpec, T: int, seed: int,
-                       lam: float = 1.0, beta_fn=None) -> RegretTrace:
+def run_known(spec: EnvironmentSpec, amap: ActionMap, seed: int,
+              lam: float = 1.0) -> RegretTrace:
+    """Simulate the known-distribution pair: LinUCB over the menu, signed reward 2r - 1."""
+    policy = LinUcb(amap.table, lam=lam)
+    return simulate(spec, seed,
+                    lambda: amap.thetas[amap.inverse_index(policy.select())],
+                    one_bit_channel, lambda bit: policy.update(2.0 * bit - 1.0))
+
+
+def run_naive_baseline(spec: EnvironmentSpec, seed: int, lam: float = 1.0) -> RegretTrace:
     """Context-free reduction: an index bandit over per-action mean vectors.
 
     The selected index is played directly as the action, so realized
     contexts never influence the choice -- the strawman that motivates
     conditioning on the context distribution.
     """
-    env_rng, quant_rng = _streams(seed)
     means = np.array([environment.context_mean(spec, a) for a in range(spec.n_actions)])
-    policy = LinUcb(means, lam=lam, beta_fn=beta_fn)
-    trace = RegretTrace(seed, spec.digest())
-    for _ in range(T):
-        action = policy.select()
-        ctx = environment.sample_context(spec, env_rng)
-        r = environment.realize_reward(spec, ctx[action], env_rng)
-        msg = KnownMessage(reward_bit=int(_REWARD_BIT.encode(r, quant_rng)))
-        policy.update(2.0 * _through_wire(msg) - 1.0)
-        regret_step(trace, ctx, spec.theta_star, action, bits=1)
-    return trace
+    policy = LinUcb(means, lam=lam)
+    return simulate(spec, seed, policy.select, one_bit_channel,
+                    lambda bit: policy.update(2.0 * bit - 1.0))
 
 
 def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:

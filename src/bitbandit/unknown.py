@@ -1,10 +1,13 @@
 """Learner/agent pair for the unknown-context-distribution setting.
 
-The agent compresses each played context into the fixed-size message
-described in :mod:`bitbandit.codec` (signs, lattice magnitudes, square-error
-bits, reward bit).  The learner accumulates
+Both learners here run on :func:`bitbandit.known.simulate`; they differ only
+in the channel.  The lattice channel compresses each played context into the
+fixed-size message described in :mod:`bitbandit.codec` (signs, lattice
+magnitudes, square-error bits, reward bit).  The exact channel, for the
+full-precision reference learner, passes the reward and the context through
+unchanged.  The learner accumulates
 
-    u_t      += (2 * reward_bit - 1) * xhat
+    u_t      += (2 * reward - 1) * xhat
     Vtilde_t += xhat xhat^T  with the diagonal replaced by xsq_hat
 
 so that both u and Vtilde are unbiased estimates of the signed-reward
@@ -19,31 +22,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import env as environment
-from .codec import (
-    BitBuffer,
-    UnknownMessage,
-    bit_budget,
-    decode_unknown,
-    encode_unknown,
-)
-from .env import EnvironmentSpec, RegretTrace, regret_step
-from .known import greedy_action
-from .quantizer import StochasticQuantizer, quantize_context, reconstruct_context
+from .codec import BitBuffer, UnknownMessage, decode_unknown, encode_unknown
+from .env import EnvironmentSpec, RegretTrace
+from .known import _REWARD_BIT, simulate
+from .quantizer import quantize_context, reconstruct_context
 
 __all__ = [
     "UnknownLearnerState",
     "new_learner_state",
     "apply_update",
-    "learner_update_unknown",
-    "agent_round_unknown",
+    "lattice_channel",
+    "exact_channel",
     "run_unknown",
     "run_full_precision",
     "FULL_PRECISION_BITS_PER_SCALAR",
 ]
 
 logger = logging.getLogger(__name__)
-
-_REWARD_BIT = StochasticQuantizer(1, 0.0, 1.0)
 
 # Nominal uplink accounting for the unquantized reference learner: one IEEE-754
 # double per context coordinate plus one for the reward.
@@ -82,22 +77,22 @@ def new_learner_state(d: int, solve_min_rounds: int | None = None) -> UnknownLea
     )
 
 
-def apply_update(state: UnknownLearnerState, reward_bit: int, xhat: np.ndarray,
+def apply_update(state: UnknownLearnerState, reward_bit: float, xhat: np.ndarray,
                  xsq_hat: np.ndarray) -> UnknownLearnerState:
     """Fold one round's decoded estimates into the state and re-solve.
 
-    The reward bit is decoded to signed units (2 r - 1), whose conditional
-    mean is exactly <x, theta*>.  The Gram update keeps off-diagonals from
-    xhat xhat^T but takes its diagonal from xsq_hat, whose entries are
-    unbiased for the true squared coordinates.  The solve uses the
-    pseudo-inverse, so rank-deficient early rounds yield the minimum-norm
-    least-squares solution.
+    The reward (a bit, or the raw reward in [0, 1] on the exact channel) is
+    decoded to signed units (2 r - 1), whose conditional mean is exactly
+    <x, theta*>.  The Gram update keeps off-diagonals from xhat xhat^T but
+    takes its diagonal from xsq_hat, whose entries are unbiased for the true
+    squared coordinates.  Every added term is exactly symmetric, since
+    x_i * x_j == x_j * x_i in floating point, so Vtilde stays symmetric.  The
+    solve uses the pseudo-inverse, so rank-deficient early rounds yield the
+    minimum-norm least-squares solution.
     """
     outer = np.outer(xhat, xhat)
     np.fill_diagonal(outer, xsq_hat)
     state.v_tilde += outer
-    # the update is symmetric by construction; re-symmetrize to shed fp drift
-    state.v_tilde = 0.5 * (state.v_tilde + state.v_tilde.T)
     state.u += (2.0 * reward_bit - 1.0) * xhat
     state.t += 1
     if state.t >= state.solve_min_rounds:
@@ -105,47 +100,41 @@ def apply_update(state: UnknownLearnerState, reward_bit: int, xhat: np.ndarray,
     return state
 
 
-def learner_update_unknown(state: UnknownLearnerState, buf: BitBuffer) -> UnknownLearnerState:
-    """Parse one uplink message and fold it in; codec errors propagate."""
-    msg = decode_unknown(buf, state.d)
-    xhat, xsq_hat = reconstruct_context(msg.context)
-    return apply_update(state, msg.reward_bit, xhat, xsq_hat)
+def lattice_channel(x: np.ndarray, r: float, quant_rng: np.random.Generator):
+    """Quantized context and reward bit, framed and parsed back as (bit, xhat, xsq_hat).
+
+    The message is bit_budget(d) bits; the decoder rejects any other length.
+    """
+    qc = quantize_context(x, quant_rng)
+    buf = encode_unknown(UnknownMessage(reward_bit=int(_REWARD_BIT.encode(r, quant_rng)),
+                                        context=qc))
+    msg = decode_unknown(BitBuffer.from_bytes(buf.to_bytes(), len(buf)), x.size)
+    return (msg.reward_bit, *reconstruct_context(msg.context)), len(buf)
 
 
-def agent_round_unknown(theta_hat: np.ndarray, context_set: np.ndarray,
-                        spec: EnvironmentSpec, env_rng: np.random.Generator,
-                        quant_rng: np.random.Generator) -> tuple[UnknownMessage, int]:
-    """Play greedily, observe a reward, and compress context + reward."""
-    action = greedy_action(context_set, theta_hat)
-    r = environment.realize_reward(spec, context_set[action], env_rng)
-    qc = quantize_context(context_set[action], quant_rng)
-    bit = int(_REWARD_BIT.encode(r, quant_rng))
-    return UnknownMessage(reward_bit=bit, context=qc), action
+def exact_channel(x: np.ndarray, r: float, quant_rng: np.random.Generator | None):
+    """Unquantized uplink: the raw reward, x and x*x, at a nominal 64 bits per scalar."""
+    return (r, x, x * x), FULL_PRECISION_BITS_PER_SCALAR * (x.size + 1)
 
 
-def run_unknown(spec: EnvironmentSpec, T: int, seed: int,
+def _run_least_squares(spec: EnvironmentSpec, seed: int, channel,
+                       solve_min_rounds: int | None, **loop) -> RegretTrace:
+    """The least-squares learner, playing greedily under its current theta_hat."""
+    state = new_learner_state(spec.d, solve_min_rounds)
+    return simulate(spec, seed, lambda: state.theta_hat, channel,
+                    lambda *received: apply_update(state, *received), **loop)
+
+
+def run_unknown(spec: EnvironmentSpec, seed: int,
                 solve_min_rounds: int | None = None,
                 pilot_rounds: int = 0) -> RegretTrace:
-    """Simulate the quantized-uplink learner/agent pair for T rounds."""
-    env_rng, quant_rng = _streams(seed)
+    """Simulate the quantized-uplink learner/agent pair."""
     if pilot_rounds > 0:
         _pilot_excitation_check(spec, pilot_rounds, seed)
-    state = new_learner_state(spec.d, solve_min_rounds)
-    budget = bit_budget(spec.d)
-    trace = RegretTrace(seed, spec.digest())
-    for _ in range(T):
-        ctx = environment.sample_context(spec, env_rng)
-        msg, action = agent_round_unknown(state.theta_hat, ctx, spec, env_rng, quant_rng)
-        buf = encode_unknown(msg)
-        nbits = len(buf)
-        if nbits != budget:
-            raise AssertionError(f"uplink used {nbits} bits, budget is {budget}")
-        learner_update_unknown(state, BitBuffer.from_bytes(buf.to_bytes(), nbits))
-        regret_step(trace, ctx, spec.theta_star, action, bits=nbits)
-    return trace
+    return _run_least_squares(spec, seed, lattice_channel, solve_min_rounds)
 
 
-def run_full_precision(spec: EnvironmentSpec, T: int, seed: int,
+def run_full_precision(spec: EnvironmentSpec, seed: int,
                        solve_min_rounds: int | None = None) -> RegretTrace:
     """Reference learner fed the exact played context and raw reward.
 
@@ -154,50 +143,23 @@ def run_full_precision(spec: EnvironmentSpec, T: int, seed: int,
     run_unknown does, so the two runs see identical contexts and noise.
     Bits are accounted at a nominal 64 per scalar (d + 1 scalars).
     """
-    env_rng, _ = _streams(seed)
-    state = new_learner_state(spec.d, solve_min_rounds)
-    nominal_bits = FULL_PRECISION_BITS_PER_SCALAR * (spec.d + 1)
-    trace = RegretTrace(seed, spec.digest())
-    for _ in range(T):
-        ctx = environment.sample_context(spec, env_rng)
-        action = greedy_action(ctx, state.theta_hat)
-        x = ctx[action]
-        r = environment.realize_reward(spec, x, env_rng)
-        _exact_update(state, r, x)
-        regret_step(trace, ctx, spec.theta_star, action, bits=nominal_bits)
-    return trace
-
-
-def _exact_update(state: UnknownLearnerState, reward: float, x: np.ndarray) -> None:
-    state.v_tilde += np.outer(x, x)
-    state.u += (2.0 * reward - 1.0) * x  # same signed-reward decode as apply_update
-    state.t += 1
-    if state.t >= state.solve_min_rounds:
-        state.theta_hat = np.linalg.pinv(state.v_tilde) @ state.u
+    return _run_least_squares(spec, seed, exact_channel, solve_min_rounds)
 
 
 def _pilot_excitation_check(spec: EnvironmentSpec, rounds: int, seed: int) -> None:
     """Short dry run; warn (never fail) when the Gram matrix barely excites."""
     pilot_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
-    state = new_learner_state(spec.d)
-    played = np.empty((rounds, spec.d))
-    for i in range(rounds):
-        ctx = environment.sample_context(spec, pilot_rng)
-        action = greedy_action(ctx, state.theta_hat)
-        x = ctx[action]
-        r = environment.realize_reward(spec, x, pilot_rng)
-        _exact_update(state, r, x)
-        played[i] = x
-    diag = environment.assumption2_diagnostic(played)
+    played = []
+
+    def channel(x, r, quant_rng):
+        played.append(x)
+        return exact_channel(x, r, quant_rng)
+
+    _run_least_squares(spec, seed, channel, None, rounds=rounds, rngs=(pilot_rng, None))
+    diag = environment.assumption2_diagnostic(np.array(played))
     if diag.c <= 1e-9:
         logger.warning(
             "pilot run (%d rounds): played-context Gram matrix shows no "
             "excitation rate (c = %.3g); least squares may stay ill-posed",
             rounds, diag.c,
         )
-
-
-def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """Environment and quantizer child streams of one simulation seed."""
-    children = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(children[0]), np.random.default_rng(children[1])

@@ -21,17 +21,21 @@ from bitbandit.env import (
     CustomDiscrete,
     EnvironmentSpec,
 )
-from bitbandit import env as environment
-from bitbandit.codec import BitBuffer, decode_unknown, encode_unknown
 from bitbandit.harness import load_config, run_experiment
-from bitbandit.known import build_action_map, estimate_xstar, exact_xstar, run_known
+from bitbandit.known import (
+    build_action_map,
+    estimate_xstar,
+    exact_xstar,
+    run_known,
+    simulate,
+)
 from bitbandit.quantizer import (
     StochasticQuantizer,
     magnitude_scale,
     quantize_context,
     reconstruct_context,
 )
-from bitbandit.unknown import agent_round_unknown, apply_update, new_learner_state
+from bitbandit.unknown import apply_update, lattice_channel, new_learner_state
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -79,8 +83,8 @@ def test_02_one_bit_uplink_every_round():
     amap = build_action_map(spec, [[-1.0], [1.0]])
     ok = True
     for seed in range(5):
-        trace = run_known(spec, 2000, amap, seed=seed)
-        # 1 reward bit, 0 context bits, asserted in-loop on the wire as well
+        trace = run_known(spec, amap, seed=seed)
+        # 1 reward bit, 0 context bits; the decoder rejects any other length
         ok = ok and len(trace) == 2000 and set(trace.bits) == {1}
     elapsed = time.perf_counter() - t0
     _report(
@@ -249,27 +253,29 @@ def test_08_ls_oracle_equivalence():
         ),
         noise_model=Bernoulli(), horizon=1000,
     )
-    children = np.random.SeedSequence(2024).spawn(2)
-    env_rng, quant_rng = (np.random.default_rng(c) for c in children)
     state = new_learner_state(spec.d, solve_min_rounds=1)
     v_log = np.zeros((spec.d, spec.d))
     u_log = np.zeros(spec.d)
     worst = 0.0
     lossless = True
-    for _ in range(1000):
-        ctx = environment.sample_context(spec, env_rng)
-        msg, action = agent_round_unknown(state.theta_hat, ctx, spec, env_rng, quant_rng)
-        buf = encode_unknown(msg)
-        parsed = decode_unknown(BitBuffer.from_bytes(buf.to_bytes(), len(buf)), spec.d)
-        xhat, xsq_hat = reconstruct_context(parsed.context)
-        lossless = lossless and np.array_equal(xhat, ctx[action])
-        apply_update(state, parsed.reward_bit, xhat, xsq_hat)
+
+    def channel(x, r, quant_rng):
+        nonlocal lossless
+        received, bits = lattice_channel(x, r, quant_rng)
+        lossless = lossless and np.array_equal(received[1], x)
+        return received, bits
+
+    def learn(reward_bit, xhat, xsq_hat):
+        nonlocal worst
+        apply_update(state, reward_bit, xhat, xsq_hat)
         outer = np.outer(xhat, xhat)
         np.fill_diagonal(outer, xsq_hat)
-        v_log += outer
-        u_log += (2.0 * parsed.reward_bit - 1.0) * xhat
+        v_log[...] += outer
+        u_log[...] += (2.0 * reward_bit - 1.0) * xhat
         oracle = np.linalg.lstsq(v_log, u_log, rcond=None)[0]
         worst = max(worst, float(np.max(np.abs(state.theta_hat - oracle))))
+
+    simulate(spec, 2024, lambda: state.theta_hat, channel, learn)
     elapsed = time.perf_counter() - t0
     _report(
         "criterion-08 ls-oracle",

@@ -65,6 +65,20 @@ class TestEnvironmentSpec:
         assert a.digest() == b.digest()
         c = binary_spec(p_minus=(0.5, 0.25))
         assert a.digest() != c.digest()
+        # 2000-atom supports that differ in one atom, past NumPy's print threshold
+        support = np.linspace(-1.0, 1.0, 2000).reshape(-1, 1)
+        moved = support.copy()
+        moved[1000, 0] = 0.5
+        probs = np.full(2000, 1.0 / 2000)
+        big, big_moved = (
+            EnvironmentSpec(
+                d=1, n_actions=1, theta_star=np.array([1.0]),
+                context_model=CustomDiscrete(supports=(sup,), probs=(probs,)),
+                noise_model=Bernoulli(), horizon=10,
+            )
+            for sup in (support, moved)
+        )
+        assert big.digest() != big_moved.digest()
 
 
 class TestContextModels:

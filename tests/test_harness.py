@@ -90,6 +90,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigValidationError, match="context_model"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("key, value, fragment", [
+        ("environment__d", None, "environment.d"),
+        ("algorithm__xstar_samples", "abc", "xstar_samples"),
+        ("seeds", [-1], "seeds"),
+        ("algorithm", {"kind": "unknown", "solve_min_rounds": "x"}, "solve_min_rounds"),
+    ])
+    def test_mistyped_value_is_a_config_error(self, key, value, fragment, tmp_path, capsys):
+        raw = make_config(**{key: value})
+        with pytest.raises(ConfigValidationError, match=fragment):
+            parse_config(raw)
+        cfg_path = tmp_path / "bad.yaml"
+        with open(cfg_path, "w") as fh:
+            yaml.safe_dump(raw, fh)
+        assert cli_main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert fragment in capsys.readouterr().err
+
     def test_roundtrip_through_dict(self):
         cfg = parse_config(make_config())
         again = parse_config(config_to_dict(cfg))
@@ -144,6 +160,47 @@ class TestRunExperiment:
         again = run_experiment(cfg, base_dir=tmp_path / "again")
         for t1, t2 in zip(result.traces, again.traces):
             np.testing.assert_array_equal(t1.inst_regret, t2.inst_regret)
+
+
+# Golden figures of the RNG stream layout, one spec per algorithm kind.  Any
+# change to the order or number of random draws per round moves them, while
+# reruns of the same code (criterion-10) would still agree.
+_PIN_BINARY = {
+    "d": 2, "actions": 2, "theta_star": [0.6, -0.5],
+    "context_model": {"kind": "binary_support", "p_minus": [0.3, 0.6]},
+    "noise_model": {"kind": "bernoulli"}, "horizon": 300,
+}
+_PIN_GAUSS = {
+    "d": 3, "actions": 4, "theta_star": [0.5, -0.4, 0.3],
+    "context_model": {"kind": "gaussian_projected", "scales": [0.5] * 4},
+    "noise_model": {"kind": "truncated_gaussian", "sigma": 0.2}, "horizon": 300,
+}
+_PIN_CASES = {
+    "known": (_PIN_BINARY,
+              {"kind": "known", "theta_grid": [[0.6, -0.5], [-0.6, 0.5], [0.5, 0.5]]},
+              [1.5556349186104044, 3.676955262170047, 13.435028842544405,
+               18.667619023324857], 1),
+    "naive_mean": (_PIN_BINARY, {"kind": "naive_mean"},
+                   [1.5556349186104044, 9.899494936611665, 40.72935059634511,
+                    82.7314933988261], 1),
+    "unknown": (_PIN_GAUSS, {"kind": "unknown", "pilot_rounds": 20},
+                [1.1577371916160413, 8.148885962188782, 11.927538098310643,
+                 12.631834280032082], 14),
+    "full_precision": (_PIN_GAUSS, {"kind": "full_precision"},
+                       [1.1577371916160413, 1.3129869343755791, 2.0465484407648766,
+                        2.074571388355105], 256),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PIN_CASES))
+def test_rng_stream_layout_is_pinned(kind, tmp_path):
+    env, algo, regret, bits = _PIN_CASES[kind]
+    raw = {"schema": 1, "environment": copy.deepcopy(env), "algorithm": algo,
+           "seeds": [17], "output_dir": "pin"}
+    trace = run_experiment(parse_config(raw), base_dir=tmp_path).traces[0]
+    got = [trace.regret_at(t) for t in (3, 30, 150, 300)]
+    assert got == pytest.approx(regret, rel=1e-9, abs=0.0)
+    assert trace.bits == [bits] * 300
 
 
 class TestSummaries:

@@ -84,6 +84,13 @@ class TestExactXstar:
             noise_model=Bernoulli(), horizon=10,
         )
         assert exact_xstar(spec, np.array([1.0, 0.0])) is None
+        # a finite law whose joint support (2^16 per action, K=2) is too large
+        big = EnvironmentSpec(
+            d=16, n_actions=2, theta_star=np.full(16, 0.25),
+            context_model=BinarySupport(p_minus=(0.3, 0.6)),
+            noise_model=Bernoulli(), horizon=10,
+        )
+        assert exact_xstar(big, np.full(16, 0.25)) is None
 
     def test_monte_carlo_matches_exact(self):
         spec = two_action_binary(0.25, 0.6)
@@ -195,29 +202,29 @@ class TestRunKnown:
     def test_one_bit_per_round_every_round(self):
         spec = two_action_binary(0.25, 0.5, horizon=500)
         amap = build_action_map(spec, [[-1.0], [1.0]])
-        trace = run_known(spec, 500, amap, seed=0)
+        trace = run_known(spec, amap, seed=0)
         assert len(trace) == 500
         assert set(trace.bits) == {1}
 
     def test_cumulative_regret_is_nondecreasing(self):
         spec = two_action_binary(0.25, 0.5, horizon=300)
         amap = build_action_map(spec, [[-1.0], [1.0]])
-        trace = run_known(spec, 300, amap, seed=1)
+        trace = run_known(spec, amap, seed=1)
         diffs = np.diff(np.concatenate([[0.0], trace.cum_regret]))
         assert np.all(diffs >= 0)
 
     def test_same_seed_reproduces_trace(self):
         spec = two_action_binary(0.3, 0.6, horizon=200)
         amap = build_action_map(spec, [[-1.0], [1.0]])
-        a = run_known(spec, 200, amap, seed=7)
-        b = run_known(spec, 200, amap, seed=7)
+        a = run_known(spec, amap, seed=7)
+        b = run_known(spec, amap, seed=7)
         np.testing.assert_array_equal(a.inst_regret, b.inst_regret)
         np.testing.assert_array_equal(a.bits, b.bits)
 
     def test_learns_the_good_menu_entry(self):
         spec = two_action_binary(0.5, 0.5, horizon=2000)
         amap = build_action_map(spec, [[-1.0], [1.0]])
-        trace = run_known(spec, 2000, amap, seed=0)
+        trace = run_known(spec, amap, seed=0)
         # per-round regret far below the 0.5 of always playing the bad entry
         assert trace.total_regret / 2000 < 0.05
 
@@ -225,10 +232,10 @@ class TestRunKnown:
 class TestNaiveBaseline:
     def test_one_bit_per_round(self):
         spec = two_action_binary(0.25, 0.5, horizon=200)
-        trace = run_naive_baseline(spec, 200, seed=0)
+        trace = run_naive_baseline(spec, seed=0)
         assert set(trace.bits) == {1}
 
     def test_per_round_regret_converges_to_quarter(self):
         spec = two_action_binary(0.25, 0.5, horizon=4000)
-        trace = run_naive_baseline(spec, 4000, seed=0)
+        trace = run_naive_baseline(spec, seed=0)
         assert trace.total_regret / 4000 == pytest.approx(0.25, abs=0.03)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bitbandit import env as environment
-from bitbandit.codec import BitBuffer, bit_budget, decode_unknown, encode_unknown
+from bitbandit.codec import bit_budget
 from bitbandit.env import (
     Bernoulli,
     BinarySupport,
@@ -12,10 +12,10 @@ from bitbandit.env import (
     EnvironmentSpec,
     GaussianProjected,
 )
-from bitbandit.quantizer import reconstruct_context
+from bitbandit.known import simulate
 from bitbandit.unknown import (
-    agent_round_unknown,
     apply_update,
+    lattice_channel,
     new_learner_state,
     run_full_precision,
     run_unknown,
@@ -93,54 +93,51 @@ class TestLearnerState:
 class TestLsOracleEquivalence:
     def test_theta_matches_dense_min_norm_solve_every_round(self):
         spec = integral_grid_spec()
-        seed_seq = np.random.SeedSequence(9)
-        env_rng, quant_rng = (np.random.default_rng(c) for c in seed_seq.spawn(2))
         state = new_learner_state(spec.d, solve_min_rounds=1)
         v_log = np.zeros((spec.d, spec.d))
         u_log = np.zeros(spec.d)
-        for _ in range(300):
-            ctx = environment.sample_context(spec, env_rng)
-            msg, action = agent_round_unknown(
-                state.theta_hat, ctx, spec, env_rng, quant_rng
-            )
-            buf = encode_unknown(msg)
-            parsed = decode_unknown(
-                BitBuffer.from_bytes(buf.to_bytes(), len(buf)), spec.d
-            )
-            xhat, xsq_hat = reconstruct_context(parsed.context)
+
+        def channel(x, r, quant_rng):
+            received, bits = lattice_channel(x, r, quant_rng)
             # integral supports make the vector reconstruction lossless
-            np.testing.assert_array_equal(xhat, ctx[action])
-            apply_update(state, parsed.reward_bit, xhat, xsq_hat)
+            np.testing.assert_array_equal(received[1], x)
+            return received, bits
+
+        def learn(reward_bit, xhat, xsq_hat):
+            apply_update(state, reward_bit, xhat, xsq_hat)
             outer = np.outer(xhat, xhat)
             np.fill_diagonal(outer, xsq_hat)
-            v_log += outer
-            u_log += (2.0 * parsed.reward_bit - 1.0) * xhat
+            v_log[...] += outer
+            u_log[...] += (2.0 * reward_bit - 1.0) * xhat
             oracle = np.linalg.lstsq(v_log, u_log, rcond=None)[0]
             np.testing.assert_allclose(state.theta_hat, oracle, atol=1e-9)
+
+        trace = simulate(spec, 9, lambda: state.theta_hat, channel, learn)
+        assert len(trace) == 300
 
 
 class TestRunUnknown:
     def test_budgeted_bits_every_round(self):
         for d, k in ((1, 2), (2, 3)):
             spec = gaussian_spec(d=d, k=k, horizon=100)
-            trace = run_unknown(spec, 100, seed=0)
+            trace = run_unknown(spec, seed=0)
             assert set(trace.bits) == {bit_budget(d)}
 
     def test_same_seed_reproduces_trace(self):
         spec = gaussian_spec(horizon=150)
-        a = run_unknown(spec, 150, seed=3)
-        b = run_unknown(spec, 150, seed=3)
+        a = run_unknown(spec, seed=3)
+        b = run_unknown(spec, seed=3)
         np.testing.assert_array_equal(a.inst_regret, b.inst_regret)
 
     def test_pilot_rounds_do_not_change_the_run(self):
         spec = gaussian_spec(horizon=120)
-        plain = run_unknown(spec, 120, seed=5)
-        piloted = run_unknown(spec, 120, seed=5, pilot_rounds=30)
+        plain = run_unknown(spec, seed=5)
+        piloted = run_unknown(spec, seed=5, pilot_rounds=30)
         np.testing.assert_array_equal(plain.inst_regret, piloted.inst_regret)
 
     def test_learner_beats_uniform_play(self):
         spec = gaussian_spec(d=2, k=5, horizon=2000)
-        trace = run_unknown(spec, 2000, seed=0)
+        trace = run_unknown(spec, seed=0)
         # second half should be much better than the first
         first = trace.regret_at(1000)
         second = trace.total_regret - first
@@ -150,26 +147,24 @@ class TestRunUnknown:
 class TestFullPrecision:
     def test_nominal_float_bits_logged(self):
         spec = gaussian_spec(d=3, k=4, horizon=50)
-        trace = run_full_precision(spec, 50, seed=0)
+        trace = run_full_precision(spec, seed=0)
         assert set(trace.bits) == {64 * (3 + 1)}
 
     def test_recovers_theta_star(self):
         spec = gaussian_spec(d=2, k=5, horizon=3000)
         env_rng = np.random.default_rng(np.random.SeedSequence(0).spawn(2)[0])
         state = new_learner_state(spec.d)
-        from bitbandit.unknown import _exact_update
-
         for _ in range(3000):
             ctx = environment.sample_context(spec, env_rng)
             a = int(np.argmax(ctx @ state.theta_hat))
             r = environment.realize_reward(spec, ctx[a], env_rng)
-            _exact_update(state, r, ctx[a])
+            apply_update(state, r, ctx[a], ctx[a] * ctx[a])
         assert np.linalg.norm(state.theta_hat - spec.theta_star) < 0.2
 
     def test_paired_seed_shares_environment_stream(self):
         spec = gaussian_spec(d=2, k=3, horizon=40)
-        quantized = run_unknown(spec, 40, seed=11)
-        full = run_full_precision(spec, 40, seed=11)
+        quantized = run_unknown(spec, seed=11)
+        full = run_full_precision(spec, seed=11)
         assert len(quantized) == len(full) == 40
         # both learners start at theta = 0 and share the env stream, so the
         # first round plays the same action on the same context
