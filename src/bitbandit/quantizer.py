@@ -81,11 +81,18 @@ class StochasticQuantizer:
                 f"input {x.flat[bad]} at position {bad} outside [{lo}, {hi}]"
             )
         scaled = np.clip((x - lo) * (self.levels / (hi - lo)), 0.0, self.levels)
-        base = np.floor(scaled)
-        frac = scaled - base
-        level = base + (rng.random(scaled.shape) < frac)
-        level = np.minimum(level.astype(np.int64), self.levels)
+        level = np.minimum(self._round(scaled, rng), self.levels)
         return level if level.ndim else int(level)
+
+    @staticmethod
+    def _round(scaled: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Randomly round grid coordinates in [0, levels] to int64 levels.
+
+        Draws one uniform per entry; rounds up with probability equal to
+        the fractional part.
+        """
+        base = np.floor(scaled)
+        return base.astype(np.int64) + (rng.random(scaled.shape) < scaled - base)
 
     def decode(self, level):
         """Map integer levels back to real values on the grid."""
@@ -155,25 +162,36 @@ def _enforce_l1_budget(levels: np.ndarray, scaled: np.ndarray, budget: int) -> n
 
 
 def quantize_context(x, rng: np.random.Generator) -> QuantizedContext:
-    """Compress a unit-ball vector into signs, lattice magnitudes and square bits."""
+    """Compress a unit-ball vector into signs, lattice magnitudes and square bits.
+
+    Two stochastic roundings, with d uniform draws each: m*|x| onto the
+    levels 0..m, then the square error x^2 - xhat^2 onto the two points
+    -3/m and +3/m.  Both equal ``StochasticQuantizer`` on those grids, done
+    in place on grid coordinates without its per-call setup and checks.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {x.shape}")
     d = x.size
-    norm = float(np.linalg.norm(x))
-    if norm > 1.0 + _BOUNDARY_TOL:
+    norm = math.sqrt(float(x @ x))
+    if not norm <= 1.0 + _BOUNDARY_TOL:  # NaN fails too
         raise AssumptionViolation(f"context norm {norm} exceeds 1")
     m = magnitude_scale(d)
 
-    signs = np.where(x < 0, -1, 1).astype(np.int8)
-    scaled = np.clip(m * np.abs(x), 0.0, float(m))
-    mag_q = StochasticQuantizer(m)
-    magnitudes = np.atleast_1d(mag_q.encode(scaled, rng)).astype(np.int64)
-    magnitudes = _enforce_l1_budget(magnitudes, scaled, 2 * d)
+    signs = np.where(x < 0, np.int8(-1), np.int8(1))
+    scaled = np.minimum(m * np.abs(x), float(m))
+    magnitudes = _enforce_l1_budget(StochasticQuantizer._round(scaled, rng), scaled, 2 * d)
 
     xhat = signs * magnitudes / m
-    err_q = StochasticQuantizer(1, lower=-3.0 / m, upper=3.0 / m)
-    sq_errors = np.atleast_1d(err_q.decode(err_q.encode(x * x - xhat * xhat, rng)))
+    err = x * x - xhat * xhat
+    bound = 3.0 / m
+    if np.abs(err).max() > bound + _BOUNDARY_TOL:
+        bad = int(np.argmax(np.abs(err)))
+        raise QuantizationRangeError(
+            f"input {err[bad]} at position {bad} outside [{-bound}, {bound}]"
+        )
+    up = rng.random(d) < (err + bound) * (1 / (2 * bound))
+    sq_errors = np.where(up, bound, -bound)
     return QuantizedContext(signs=signs, magnitudes=magnitudes, sq_errors=sq_errors, m=m)
 
 

@@ -120,6 +120,34 @@ class TestQuantizeContext:
         with pytest.raises(ValueError):
             quantize_context(np.zeros((2, 2)), rng)
 
+    def test_rejects_nan(self):
+        rng = np.random.default_rng(42)
+        with pytest.raises(AssumptionViolation):
+            quantize_context(np.array([np.nan, 0.0]), rng)
+
+    def test_matches_scalar_quantizer_draw_for_draw(self):
+        """Same levels, square bits and rng state as two StochasticQuantizers."""
+
+        def reference(x, rng):
+            m = magnitude_scale(x.size)
+            scaled = m * np.abs(x)
+            mags = StochasticQuantizer(m).encode(scaled, rng)
+            assert mags.sum() <= 2 * x.size  # no demotion in this reference
+            xhat = np.where(x < 0, -1, 1) * mags / m
+            err_q = StochasticQuantizer(1, lower=-3.0 / m, upper=3.0 / m)
+            return mags, err_q.decode(err_q.encode(x * x - xhat * xhat, rng))
+
+        data_rng = np.random.default_rng(7)
+        for d in (1, 2, 5, 16, 64):
+            for x in random_unit_ball(100, d, data_rng):
+                seed = int(data_rng.integers(2**32))
+                ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+                qc = quantize_context(x, ra)
+                mags, sq_errors = reference(x, rb)
+                np.testing.assert_array_equal(qc.magnitudes, mags)
+                assert qc.sq_errors.tobytes() == sq_errors.tobytes()
+                assert ra.random() == rb.random()
+
     def test_sign_of_zero_is_positive(self):
         rng = np.random.default_rng(42)
         qc = quantize_context(np.zeros(4), rng)
