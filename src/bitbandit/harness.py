@@ -10,6 +10,7 @@ seed produce byte-identical files.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields
 
@@ -26,7 +27,14 @@ from .env import (
     RegretTrace,
     TruncatedGaussian,
 )
-from .known import build_action_map, misspecify_xstar, run_known, run_naive_baseline, theta_net
+from .known import (
+    build_action_map,
+    exact_xstar_obstacle,
+    misspecify_xstar,
+    run_known,
+    run_naive_baseline,
+    theta_net,
+)
 from .unknown import run_full_precision, run_unknown
 
 __all__ = [
@@ -164,6 +172,22 @@ def _coerce(value, cast, name: str, problems: list[str], minimum=None):
     return out
 
 
+def _check_theta_grid(grid, d: int | None, problems: list[str]) -> None:
+    """Append a problem unless ``grid`` is a list of length-d rows of finite numbers."""
+    if not isinstance(grid, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in grid):
+        problems.append(f"algorithm.theta_grid must be a list of rows, got {grid!r}")
+        return
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+               for row in grid for v in row):
+        problems.append("algorithm.theta_grid entries must be finite numbers")
+    lengths = sorted({len(row) for row in grid})
+    if d is not None and lengths and lengths != [d]:
+        problems.append(f"algorithm.theta_grid rows must have length d={d}, "
+                        f"got row lengths {lengths}")
+    elif len(lengths) > 1:
+        problems.append(f"algorithm.theta_grid rows differ in length: {lengths}")
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a config dict, raising ConfigValidationError listing every problem."""
     problems: list[str] = []
@@ -217,6 +241,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
             algo = AlgorithmConfig(**values)
             if kind == "known" and not algo.theta_grid and not algo.net_points:
                 problems.append("known-dist learner needs theta_grid or net_points")
+            if algo.theta_grid is not None:
+                _check_theta_grid(algo.theta_grid, spec.d if spec else None, problems)
+            if kind == "known" and algo.xstar_method == "exact" and spec is not None:
+                obstacle = exact_xstar_obstacle(spec)
+                if obstacle:
+                    problems.append(f"xstar_method 'exact' is unavailable: {obstacle}")
             if algo.xstar_method not in ("auto", "exact", "monte-carlo"):
                 problems.append(f"unknown xstar_method {algo.xstar_method!r}")
             if algo.ridge <= 0:

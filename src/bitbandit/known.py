@@ -14,7 +14,6 @@ learner (LinUCB here; least squares in :mod:`bitbandit.unknown`).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -28,6 +27,7 @@ from .quantizer import StochasticQuantizer
 
 __all__ = [
     "greedy_action",
+    "exact_xstar_obstacle",
     "exact_xstar",
     "estimate_xstar",
     "ActionMap",
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 _REWARD_BIT = StochasticQuantizer(1, 0.0, 1.0)
-_ENUM_LIMIT = 1 << 16  # max joint-support size for exact expectations
+_ATOM_LIMIT = 1 << 16  # max support atoms per action for exact xstar (binary: d <= 16)
 
 
 def greedy_action(context_set: np.ndarray, theta: np.ndarray) -> int:
@@ -54,54 +54,93 @@ def greedy_action(context_set: np.ndarray, theta: np.ndarray) -> int:
 # xstar tables
 # --------------------------------------------------------------------------
 
-def _finite_supports(spec: EnvironmentSpec):
-    """Per-action (vectors, probs) lists when the context law is finite and its
-    joint support, checked before any is built, has at most _ENUM_LIMIT points."""
+def exact_xstar_obstacle(spec: EnvironmentSpec) -> str | None:
+    """Why exact xstar is unavailable for the spec's context law; None when it is not."""
     cm = spec.context_model
     if isinstance(cm, environment.BinarySupport):
-        if 2 ** (spec.d * spec.n_actions) > _ENUM_LIMIT:
-            return None
-        coords = np.array([1.0, -1.0]) / math.sqrt(spec.d)
-        out = []
-        for p in cm.p_minus:
-            vecs = np.array(list(itertools.product(coords, repeat=spec.d)))
-            probs = np.array(
-                [np.prod([(p if c < 0 else 1.0 - p) for c in v]) for v in vecs]
-            )
-            out.append((vecs, probs))
-        return out
-    if isinstance(cm, environment.CustomDiscrete):
-        if math.prod(len(pr) for pr in cm.probs) > _ENUM_LIMIT:
-            return None
-        return [
-            (np.asarray(sup, dtype=float), np.asarray(pr, dtype=float))
-            for sup, pr in zip(cm.supports, cm.probs)
-        ]
+        atoms = 2 ** spec.d
+    elif isinstance(cm, environment.CustomDiscrete):
+        atoms = max(len(pr) for pr in cm.probs)
+    else:
+        return f"the {type(cm).__name__} context law has no finite support"
+    if atoms > _ATOM_LIMIT:
+        return f"an action's support has {atoms} atoms, over the limit of {_ATOM_LIMIT}"
     return None
 
 
-def exact_xstar(spec: EnvironmentSpec, theta: np.ndarray) -> np.ndarray | None:
-    """E[greedy-played context] by exact enumeration of finite supports.
+def _finite_supports(spec: EnvironmentSpec):
+    """Per-action (vectors, probs) of a finite context law, or None when
+    exact_xstar_obstacle names a reason there are none."""
+    if exact_xstar_obstacle(spec) is not None:
+        return None
+    cm = spec.context_model
+    if isinstance(cm, environment.BinarySupport):
+        d = spec.d
+        # row i has a minus sign where bit d-1-j of i is set: itertools.product order
+        minus = (np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
+        vecs = np.where(minus == 1, -1.0, 1.0) / math.sqrt(d)
+        k = minus.sum(axis=1)
+        return [(vecs, p ** k * (1.0 - p) ** (d - k)) for p in cm.p_minus]
+    return [
+        (np.asarray(sup, dtype=float), np.asarray(pr, dtype=float))
+        for sup, pr in zip(cm.supports, cm.probs)
+    ]
 
-    Returns None when the joint support is not finite (or too large to
-    enumerate), in which case a Monte-Carlo estimate must be used.
+
+def _agent_scores(supports, theta: np.ndarray) -> list[np.ndarray]:
+    """Per action, <v, theta> for each atom v, rounded as greedy_action rounds it.
+
+    Atom i of every action a sits in row a of the i-th (K, d) context set, so
+    the stacked product runs the agent's own (K, d) @ theta kernel.  The last
+    bit of a row's score depends on K and on the row's position, and a plain
+    ``vecs @ theta`` would break exact ties differently from the agent.
+    """
+    n = max(len(probs) for _, probs in supports)
+    chunk = 4096  # context sets per product, bounding the size of `sets`
+    scores = np.empty((n, len(supports)))
+    sets = np.zeros((min(chunk, n), len(supports), len(theta)))
+    for lo in range(0, n, chunk):
+        m = min(chunk, n - lo)
+        for a, (vecs, _) in enumerate(supports):
+            part = vecs[lo:lo + m]
+            sets[:len(part), a] = part  # rows past an action's last atom score junk
+        scores[lo:lo + m] = sets[:m] @ theta
+    return [scores[:len(probs), a] for a, (_, probs) in enumerate(supports)]
+
+
+def _xstar_row(supports, theta: np.ndarray) -> np.ndarray:
+    """E[greedy-played context] by order statistics, in O(K^2 S log S):
+
+    sum_a sum_v p_a(v) v prod_{b<a} P(s_b < s(v)) prod_{b>a} P(s_b <= s(v)),
+
+    strict below a and not above it, which is greedy_action's lowest-index tie rule.
+    """
+    scores = _agent_scores(supports, theta)
+    ranked = []  # per action: atoms by score, sorted scores, P(s < k-th sorted score)
+    for s, (_, probs) in zip(scores, supports):
+        order = np.argsort(s, kind="stable")
+        ranked.append((order, s[order], np.concatenate([[0.0], np.cumsum(probs[order])])))
+    acc = np.zeros(len(theta))
+    for a, (vecs, probs) in enumerate(supports):
+        order, s_a, _ = ranked[a]
+        weight = probs[order]
+        for b, (_, s_b, cdf_b) in enumerate(ranked):
+            if b != a:  # sorted queries keep the binary search cache-friendly
+                weight *= cdf_b[np.searchsorted(s_b, s_a, side="left" if b < a else "right")]
+        acc += weight @ vecs[order]
+    return acc
+
+
+def exact_xstar(spec: EnvironmentSpec, theta: np.ndarray) -> np.ndarray | None:
+    """E[greedy-played context], exactly, for a finite context law.
+
+    Returns None when exact_xstar_obstacle names a reason it is unavailable,
+    in which case a Monte-Carlo estimate must be used.
     """
     supports = _finite_supports(spec)
     if supports is None:
         return None
-    sizes = [len(p) for _, p in supports]
-    theta = np.asarray(theta, dtype=float)
-    acc = np.zeros(spec.d)
-    for combo in itertools.product(*[range(s) for s in sizes]):
-        prob = 1.0
-        ctx = np.empty((spec.n_actions, spec.d))
-        for a, idx in enumerate(combo):
-            vecs, probs = supports[a]
-            prob *= probs[idx]
-            ctx[a] = vecs[idx]
-        if prob > 0.0:
-            acc += prob * ctx[greedy_action(ctx, theta)]
-    return acc
+    return _xstar_row(supports, np.asarray(theta, dtype=float))
 
 
 def estimate_xstar(spec: EnvironmentSpec, theta: np.ndarray, n_samples: int,
@@ -123,7 +162,7 @@ def estimate_xstar(spec: EnvironmentSpec, theta: np.ndarray, n_samples: int,
 
 @dataclass
 class ActionMap:
-    """Menu of learner actions: theta grid, xstar table, and the inverse map."""
+    """Menu of learner actions: theta grid and xstar table."""
 
     thetas: np.ndarray      # (n, d) candidate parameters
     table: np.ndarray       # (n, d) xstar(theta) per candidate
@@ -134,39 +173,29 @@ class ActionMap:
         self.table = np.atleast_2d(np.asarray(self.table, dtype=float))
         if self.thetas.shape != self.table.shape or self.thetas.shape[0] < 1:
             raise ValueError("thetas and table must be matching (n, d) arrays")
-        self._first_index = {}
-        for i, row in enumerate(self.table):
-            self._first_index.setdefault(row.tobytes(), i)
 
     def __len__(self) -> int:
         return self.table.shape[0]
-
-    def inverse_index(self, i: int) -> int:
-        """Lowest index whose table row equals row i (identity when rows are unique)."""
-        return self._first_index[self.table[i].tobytes()]
 
 
 def build_action_map(spec: EnvironmentSpec, thetas, method: str = "auto",
                      n_samples: int = 100_000,
                      rng: np.random.Generator | None = None) -> ActionMap:
-    """Tabulate xstar over a theta grid, exactly when the law is finite."""
+    """Tabulate xstar over a theta grid, exactly when the law is finite and small
+    enough (exact_xstar_obstacle), else by Monte-Carlo unless ``method`` is exact."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if method not in ("auto", "exact", "monte-carlo"):
         raise ValueError(f"unknown xstar method {method!r}")
-    rows, how = [], None
-    for theta in thetas:
-        row = exact_xstar(spec, theta) if method in ("auto", "exact") else None
-        if row is None:
-            if method == "exact":
-                raise ValueError("exact xstar unavailable for this context model")
-            if rng is None:
-                raise ValueError("Monte-Carlo xstar needs an rng")
-            row = estimate_xstar(spec, theta, n_samples, rng)
-            how = f"monte-carlo(n={n_samples})"
-        else:
-            how = how or "exact-enumeration"
-        rows.append(row)
-    return ActionMap(thetas=thetas, table=np.array(rows), provenance=how)
+    supports = None if method == "monte-carlo" else _finite_supports(spec)
+    if supports is not None:  # the atoms are built once for the whole grid
+        table = [_xstar_row(supports, theta) for theta in thetas]
+        return ActionMap(thetas, np.array(table), "exact-enumeration")
+    if method == "exact":
+        raise ValueError(f"exact xstar unavailable: {exact_xstar_obstacle(spec)}")
+    if rng is None:
+        raise ValueError("Monte-Carlo xstar needs an rng")
+    table = [estimate_xstar(spec, theta, n_samples, rng) for theta in thetas]
+    return ActionMap(thetas, np.array(table), f"monte-carlo(n={n_samples})")
 
 
 def misspecify_xstar(amap: ActionMap, eps: float, rng: np.random.Generator) -> ActionMap:
@@ -237,6 +266,11 @@ class LinUcb:
         if lam <= 0:
             raise ValueError(f"ridge parameter must be positive, got {lam}")
         self.lam = lam
+        # lowest index of each row's identical copies: identical rows tie, but
+        # the product actions @ theta may round them apart by their position
+        _, first, inverse = np.unique(self.actions, axis=0, return_index=True,
+                                      return_inverse=True)
+        self._first = first[inverse.reshape(-1)]
         self.V = lam * np.eye(self.d)
         self.b = np.zeros(self.d)
         self.t = 0
@@ -248,7 +282,8 @@ class LinUcb:
         )
 
     def select(self) -> int:
-        """Index of the UCB-maximizing action; lowest index on ties."""
+        """Index of the UCB-maximizing action; lowest index on ties and among
+        identical actions."""
         if self._pending is not None:
             raise RuntimeError("update() must be called before the next select()")
         self.t += 1
@@ -256,7 +291,7 @@ class LinUcb:
         vinv_x = np.linalg.solve(self.V, self.actions.T)  # (d, n)
         widths = np.sqrt(np.einsum("nd,dn->n", self.actions, vinv_x))
         ucb = self.actions @ theta + self._beta(self.t) * widths
-        self._pending = int(np.argmax(ucb))
+        self._pending = int(self._first[np.argmax(ucb)])
         return self._pending
 
     def update(self, reward: float) -> None:
@@ -306,8 +341,7 @@ def run_known(spec: EnvironmentSpec, amap: ActionMap, seed: int,
               lam: float = 1.0) -> RegretTrace:
     """Simulate the known-distribution pair: LinUCB over the menu, signed reward 2r - 1."""
     policy = LinUcb(amap.table, lam=lam)
-    return simulate(spec, seed,
-                    lambda: amap.thetas[amap.inverse_index(policy.select())],
+    return simulate(spec, seed, lambda: amap.thetas[policy.select()],
                     one_bit_channel, lambda bit: policy.update(2.0 * bit - 1.0))
 
 

@@ -106,6 +106,31 @@ class TestConfigParsing:
         assert cli_main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 2
         assert fragment in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, fragment", [
+        ({"algorithm__theta_grid": [[1.0, 0.0]]}, "length d=1"),
+        ({"algorithm__theta_grid": [[1.0], [1.0, 0.0]]}, "length d=1"),
+        ({"algorithm__theta_grid": [["up"], [1.0]]}, "finite numbers"),
+        ({"algorithm__theta_grid": [[float("nan")]]}, "finite numbers"),
+        ({"algorithm__theta_grid": [1.0, -1.0]}, "list of rows"),
+        ({"environment__d": 2, "environment__theta_star": [0.5, 0.5],
+          "environment__context_model": {"kind": "gaussian_projected", "scales": [1.0, 1.0]},
+          "algorithm": {"kind": "known", "net_points": 4, "xstar_method": "exact"}},
+         "no finite support"),
+        ({"environment__d": 17, "environment__theta_star": [0.0] * 17,
+          "algorithm": {"kind": "known", "theta_grid": [[0.1] * 17], "xstar_method": "exact"}},
+         "131072 atoms"),
+    ])
+    def test_unusable_xstar_grid_or_law_is_a_config_error(self, overrides, fragment,
+                                                          tmp_path, capsys):
+        raw = make_config(**overrides)
+        with pytest.raises(ConfigValidationError, match=fragment):
+            parse_config(raw)
+        cfg_path = tmp_path / "bad.yaml"
+        with open(cfg_path, "w") as fh:
+            yaml.safe_dump(raw, fh)
+        assert cli_main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert fragment in capsys.readouterr().err
+
     def test_roundtrip_through_dict(self):
         cfg = parse_config(make_config())
         again = parse_config(config_to_dict(cfg))

@@ -1,9 +1,12 @@
 """Tests for the known-distribution learner: xstar tables, LinUCB, simulation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitbandit.env import (
     Bernoulli,
@@ -30,6 +33,58 @@ def two_action_binary(p, q, horizon=1000):
         context_model=BinarySupport(p_minus=(p, q)),
         noise_model=Bernoulli(), horizon=horizon,
     )
+
+
+def brute_force_xstar(spec, theta):
+    """E[greedy-played context] by walking the joint support of all actions,
+    one greedy_action call per combination of atoms."""
+    cm = spec.context_model
+    if isinstance(cm, BinarySupport):
+        coords = np.array([1.0, -1.0]) / math.sqrt(spec.d)
+        vecs = np.array(list(itertools.product(coords, repeat=spec.d)))
+        laws = [(vecs, [math.prod(p if c < 0 else 1.0 - p for c in v) for v in vecs])
+                for p in cm.p_minus]
+    else:
+        laws = list(zip(cm.supports, cm.probs))
+    acc = np.zeros(spec.d)
+    for combo in itertools.product(*(range(len(probs)) for _, probs in laws)):
+        ctx = np.array([laws[a][0][i] for a, i in enumerate(combo)])
+        prob = math.prod(laws[a][1][i] for a, i in enumerate(combo))
+        acc += prob * ctx[greedy_action(ctx, theta)]
+    return acc
+
+
+@st.composite
+def tie_prone_laws(draw):
+    """A small finite law (binary or custom, K = 1..3) and a theta that makes
+    exact score ties likely: proportional to 1, zero, or small integers."""
+    K = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 4))
+        law = BinarySupport(p_minus=tuple(draw(st.lists(
+            st.sampled_from([0.0, 0.25, 0.3, 0.5, 1.0]), min_size=K, max_size=K))))
+    else:  # atoms on a coarse grid repeat; zero weights give zero-probability atoms
+        d = draw(st.integers(1, 6))
+        supports, probs = [], []
+        for _ in range(K):
+            n = draw(st.integers(1, 5))
+            atoms = draw(st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d),
+                                  min_size=n, max_size=n))
+            weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+            supports.append(np.array(atoms, dtype=float) / (2.0 * math.sqrt(d)))
+            probs.append(np.array(weights, dtype=float) / sum(weights))
+        law = CustomDiscrete(supports=tuple(supports), probs=tuple(probs))
+    kind = draw(st.sampled_from(["ones", "zero", "integers"]))
+    if kind == "ones":
+        theta = np.full(d, draw(st.floats(-1.0, 1.0, allow_subnormal=False)))
+    elif kind == "zero":
+        theta = np.zeros(d)
+    else:
+        theta = np.array(draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)),
+                         dtype=float)
+    spec = EnvironmentSpec(d=d, n_actions=K, theta_star=np.zeros(d), context_model=law,
+                           noise_model=Bernoulli(), horizon=10)
+    return spec, theta
 
 
 class TestGreedyAction:
@@ -75,6 +130,44 @@ class TestExactXstar:
         # max(0.8, 0.1) w.p. 0.25; max(-0.4, 0.1) w.p. 0.75
         np.testing.assert_allclose(out, [0.25 * 0.8 + 0.75 * 0.1], atol=1e-12)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(tie_prone_laws())
+    def test_matches_joint_enumeration(self, case):
+        spec, theta = case
+        np.testing.assert_allclose(exact_xstar(spec, theta), brute_force_xstar(spec, theta),
+                                   rtol=0, atol=1e-12)
+
+    def test_ties_break_as_the_agent_rounds(self):
+        # one atom per action, so xstar is the atom greedy_action picks; the two
+        # scores tie on paper and only the rounding of the agent's product decides
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            d = int(rng.integers(2, 7))
+            v = rng.integers(-2, 3, d) / (2.0 * math.sqrt(d))
+            ctx = np.array([v, v[::-1]])
+            spec = EnvironmentSpec(
+                d=d, n_actions=2, theta_star=np.zeros(d),
+                context_model=CustomDiscrete(supports=(ctx[:1], ctx[1:]),
+                                             probs=(np.ones(1), np.ones(1))),
+                noise_model=Bernoulli(), horizon=10,
+            )
+            theta = np.full(d, rng.uniform(0.05, 1.0))
+            np.testing.assert_array_equal(exact_xstar(spec, theta),
+                                          ctx[greedy_action(ctx, theta)])
+
+    def test_binary_d16_is_exact_under_auto(self):
+        d = 16
+        spec = EnvironmentSpec(
+            d=d, n_actions=2, theta_star=np.full(d, 0.25),
+            context_model=BinarySupport(p_minus=(0.3, 0.6)),
+            noise_model=Bernoulli(), horizon=10,
+        )
+        theta = np.random.default_rng(16).standard_normal(d)
+        amap = build_action_map(spec, [theta])  # no rng: a Monte-Carlo fallback raises
+        assert amap.provenance == "exact-enumeration"
+        mc = estimate_xstar(spec, theta, 100_000, np.random.default_rng(17))
+        np.testing.assert_allclose(amap.table[0], mc, atol=0.01)
+
     def test_gaussian_has_no_exact_table(self):
         from bitbandit.env import GaussianProjected
 
@@ -84,13 +177,13 @@ class TestExactXstar:
             noise_model=Bernoulli(), horizon=10,
         )
         assert exact_xstar(spec, np.array([1.0, 0.0])) is None
-        # a finite law whose joint support (2^16 per action, K=2) is too large
+        # a finite law with too many atoms per action (2^17 > 2^16)
         big = EnvironmentSpec(
-            d=16, n_actions=2, theta_star=np.full(16, 0.25),
+            d=17, n_actions=2, theta_star=np.full(17, 0.2),
             context_model=BinarySupport(p_minus=(0.3, 0.6)),
             noise_model=Bernoulli(), horizon=10,
         )
-        assert exact_xstar(big, np.full(16, 0.25)) is None
+        assert exact_xstar(big, np.full(17, 0.2)) is None
 
     def test_monte_carlo_matches_exact(self):
         spec = two_action_binary(0.25, 0.6)
@@ -107,13 +200,16 @@ class TestActionMap:
         assert amap.provenance == "exact-enumeration"
         np.testing.assert_allclose(amap.table, [[-0.25], [0.75]], atol=1e-12)
 
-    def test_inverse_index_prefers_lowest_duplicate(self):
-        spec = two_action_binary(0.25, 0.5)
-        amap = build_action_map(spec, [[1.0], [0.5], [-1.0]])
-        # any positive theta plays the pointwise max, so rows 0 and 1 coincide
-        np.testing.assert_allclose(amap.table[0], amap.table[1])
-        assert amap.inverse_index(1) == 0
-        assert amap.inverse_index(2) == 2
+    def test_exact_method_names_why_it_is_unavailable(self):
+        from bitbandit.env import GaussianProjected
+
+        spec = EnvironmentSpec(
+            d=2, n_actions=2, theta_star=np.array([0.5, 0.5]),
+            context_model=GaussianProjected(scales=(1.0, 1.0)),
+            noise_model=Bernoulli(), horizon=10,
+        )
+        with pytest.raises(ValueError, match="no finite support"):
+            build_action_map(spec, [[1.0, 0.0]], method="exact")
 
     def test_monte_carlo_method_is_seed_deterministic(self):
         spec = two_action_binary(0.3, 0.7)
@@ -192,6 +288,30 @@ class TestLinUcb:
             mean = 0.9 if i == 0 else -0.9
             policy.update(mean + 0.1 * rng.standard_normal())
         assert policy.select() == 0
+
+    def test_never_selects_the_higher_of_duplicate_rows(self):
+        spec = two_action_binary(0.25, 0.5)
+        amap = build_action_map(spec, [[1.0], [0.5], [-1.0]])
+        # any positive theta plays the pointwise max, so rows 0 and 1 coincide
+        np.testing.assert_array_equal(amap.table[0], amap.table[1])
+        menus = [amap.table]
+        rng = np.random.default_rng(0)
+        for _ in range(200):  # random menus whose later rows copy earlier ones
+            n, d = int(rng.integers(2, 20)), int(rng.integers(1, 9))
+            menu = 0.3 * rng.standard_normal((n, d))
+            for _ in range(int(rng.integers(1, n))):
+                i, j = sorted(rng.integers(0, n, 2))
+                menu[j] = menu[i]
+            menus.append(menu)
+        for menu in menus:
+            first = [next(j for j in range(len(menu)) if np.array_equal(menu[j], row))
+                     for row in menu]
+            theta = 0.3 * rng.standard_normal(menu.shape[1])
+            policy = LinUcb(menu)
+            for _ in range(50):
+                i = policy.select()
+                assert i == first[i]
+                policy.update(menu[i] @ theta + 0.1 * rng.standard_normal())
 
     def test_rejects_bad_ridge(self):
         with pytest.raises(ValueError):
