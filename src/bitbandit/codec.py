@@ -10,8 +10,9 @@ Wire format (documented in docs/PROTOCOL.md, frozen by golden-byte tests):
 
   where Q_d = {v in N^d : ||v||_1 <= 2d} and the rank is the position of
   the magnitude vector in the lexicographic enumeration of Q_d.  Byte
-  padding (zeros on the right) happens only when a buffer is framed into
-  bytes; bit lengths are always accounted unpadded.
+  padding (zeros on the right, and rejected by the decoder unless zero)
+  happens only when a buffer is framed into bytes; bit lengths are always
+  accounted unpadded.
 """
 
 from __future__ import annotations
@@ -83,10 +84,6 @@ class BitBuffer:
         self._cursor += width
         return (self._acc >> shift) & ((1 << width) - 1)
 
-    @property
-    def bits_remaining(self) -> int:
-        return self._nbits - self._cursor
-
     def to_bytes(self) -> bytes:
         """Frame into bytes, zero-padding on the right to a byte boundary."""
         nbytes = (self._nbits + 7) // 8
@@ -95,14 +92,18 @@ class BitBuffer:
 
     @classmethod
     def from_bytes(cls, data: bytes, nbits: int) -> "BitBuffer":
-        """Rebuild a buffer of ``nbits`` bits from its framed byte string."""
+        """Rebuild a buffer of ``nbits`` bits from its framed byte string, whose
+        padding bits must all be zero."""
         if nbits < 0 or (nbits + 7) // 8 != len(data):
             raise MessageCodecError(
                 f"{len(data)} bytes cannot hold exactly {nbits} bits"
             )
         pad = 8 * len(data) - nbits
+        acc = int.from_bytes(data, "big")
+        if acc & ((1 << pad) - 1):
+            raise MessageCodecError(f"nonzero padding bits after bit {nbits}")
         buf = cls()
-        buf._acc = int.from_bytes(data, "big") >> pad
+        buf._acc = acc >> pad
         buf._nbits = nbits
         return buf
 

@@ -32,6 +32,8 @@ __all__ = [
     "CustomDiscrete",
     "Bernoulli",
     "TruncatedGaussian",
+    "CONTEXT_LAWS",
+    "NOISE_LAWS",
     "EnvironmentSpec",
     "sample_context",
     "sample_contexts",
@@ -39,6 +41,7 @@ __all__ = [
     "mean_reward",
     "realize_reward",
     "regret_gap",
+    "TRACE_HEADER",
     "RegretTrace",
     "ExcitationDiagnostic",
     "assumption2_diagnostic",
@@ -49,64 +52,178 @@ _NORMAL = NormalDist()
 
 
 # --------------------------------------------------------------------------
-# context models
+# context and reward laws
 # --------------------------------------------------------------------------
 
+class _Law:
+    """A law's config node: its ``kind`` plus one key per dataclass field, a
+    ``float`` field read as a number and any other as a list of numbers."""
+
+    kind = ""
+
+    @classmethod
+    def from_node(cls, node: dict):
+        return cls(**{f.name: float(node[f.name]) if f.type == "float"
+                      else tuple(float(v) for v in node[f.name])
+                      for f in dataclasses.fields(cls)})
+
+    def to_node(self) -> dict:
+        node = {"kind": self.kind}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            node[f.name] = list(value) if isinstance(value, tuple) else value
+        return node
+
+
+# A context law also answers, for dimension d:
+#   check(d, n_actions) -> problems with its per-action tables;
+#   sample(n, d, rng)   -> n context sets, shape (n, n_actions, d);
+#   mean(action, d)     -> E[X_action];
+#   atom_count(d)       -> atoms in its largest per-action support, None if infinite;
+#   atoms(d)            -> per action, (vectors, probabilities) of its finite support.
+
 @dataclass(frozen=True)
-class GaussianProjected:
+class GaussianProjected(_Law):
     """Per-action isotropic Gaussians, rescaled onto the unit ball when outside."""
 
+    kind = "gaussian_projected"
     scales: tuple[float, ...]  # covariance scale c_a; X ~ N(0, c_a I) then projected
 
     def __post_init__(self):
-        if any(c < 0 for c in self.scales):
-            raise ValueError("covariance scales must be nonnegative")
+        if not all(0.0 <= c < math.inf for c in self.scales):
+            raise ValueError(f"covariance scales must be finite and nonnegative, "
+                             f"got {list(self.scales)}")
+
+    def check(self, d: int, n_actions: int) -> list[str]:
+        return [] if len(self.scales) == n_actions else ["one Gaussian scale per action required"]
+
+    def sample(self, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+        out = rng.standard_normal((n, len(self.scales), d))
+        out *= np.sqrt(np.asarray(self.scales))[None, :, None]
+        norms = np.linalg.norm(out, axis=2, keepdims=True)
+        np.divide(out, norms, out=out, where=norms > 1.0)
+        return out
+
+    def mean(self, action: int, d: int) -> np.ndarray:
+        return np.zeros(d)  # symmetric about the origin, projection included
+
+    def atom_count(self, d: int) -> None:
+        return None
 
 
 @dataclass(frozen=True)
-class BinarySupport:
+class BinarySupport(_Law):
     """Coordinates are +-1/sqrt(d) i.i.d.; p_minus[a] = P(coordinate = -1/sqrt(d)).
 
     At d=1 this is the two-point +-1 distribution.
     """
 
+    kind = "binary_support"
     p_minus: tuple[float, ...]
 
     def __post_init__(self):
         if any(not 0.0 <= p <= 1.0 for p in self.p_minus):
             raise ValueError("p_minus entries must lie in [0, 1]")
 
+    def check(self, d: int, n_actions: int) -> list[str]:
+        return [] if len(self.p_minus) == n_actions else ["one p_minus per action required"]
+
+    def sample(self, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+        p = np.asarray(self.p_minus)[None, :, None]
+        signs = np.where(rng.random((n, len(self.p_minus), d)) < p, -1.0, 1.0)
+        return signs / math.sqrt(d)
+
+    def mean(self, action: int, d: int) -> np.ndarray:
+        return np.full(d, (1.0 - 2.0 * self.p_minus[action]) / math.sqrt(d))
+
+    def atom_count(self, d: int) -> int:
+        return 2 ** d
+
+    def atoms(self, d: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        # row i has a minus sign where bit d-1-j of i is set: itertools.product order
+        minus = (np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
+        vecs = np.where(minus == 1, -1.0, 1.0) / math.sqrt(d)
+        k = minus.sum(axis=1)
+        return [(vecs, p ** k * (1.0 - p) ** (d - k)) for p in self.p_minus]
+
 
 @dataclass(frozen=True)
-class CustomDiscrete:
-    """Explicit finite support per action: supports[a] is (S_a, d), probs[a] sums to 1."""
+class CustomDiscrete(_Law):
+    """Explicit finite support per action: supports[a] is (S_a, d), probs[a] sums to 1.
 
+    Its config node lists the actions, each as ``{support: [...], probs: [...]}``.
+    """
+
+    kind = "custom"
     supports: tuple
     probs: tuple
 
     def __post_init__(self):
+        if len(self.supports) != len(self.probs):
+            raise ValueError(f"one probs table per support table required, got "
+                             f"{len(self.probs)} for {len(self.supports)}")
         for a, (sup, p) in enumerate(zip(self.supports, self.probs)):
             sup = np.asarray(sup, dtype=float)
             p = np.asarray(p, dtype=float)
             if sup.ndim != 2 or sup.shape[0] != p.size:
                 raise ValueError(f"action {a}: support/probs shape mismatch")
+            if not (np.all(np.isfinite(sup)) and np.all(np.isfinite(p))):
+                raise ValueError(f"action {a}: support and probs must be finite")
             if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
                 raise ValueError(f"action {a}: probabilities must be a distribution")
             if np.any(np.linalg.norm(sup, axis=1) > 1.0 + _TOL):
                 raise ValueError(f"action {a}: support vector outside the unit ball")
 
+    @classmethod
+    def from_node(cls, node: dict) -> "CustomDiscrete":
+        actions = node["actions"]
+        return cls(supports=tuple(np.asarray(a["support"], dtype=float) for a in actions),
+                   probs=tuple(np.asarray(a["probs"], dtype=float) for a in actions))
 
-# --------------------------------------------------------------------------
-# reward models
-# --------------------------------------------------------------------------
+    def to_node(self) -> dict:
+        return {"kind": self.kind, "actions": [
+            {"support": np.asarray(sup, dtype=float).tolist(),
+             "probs": np.asarray(p, dtype=float).tolist()}
+            for sup, p in zip(self.supports, self.probs)]}
+
+    def check(self, d: int, n_actions: int) -> list[str]:
+        if len(self.supports) != n_actions:
+            return ["one support table per action required"]
+        return [f"action {a}: support dimension != d"
+                for a, sup in enumerate(self.supports) if np.asarray(sup).shape[1] != d]
+
+    def sample(self, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+        out = np.empty((n, len(self.supports), d))
+        for a, (sup, p) in enumerate(self.atoms(d)):
+            out[:, a, :] = sup[rng.choice(sup.shape[0], size=n, p=p)]
+        return out
+
+    def mean(self, action: int, d: int) -> np.ndarray:
+        sup, p = self.atoms(d)[action]
+        return p @ sup
+
+    def atom_count(self, d: int) -> int:
+        return max(len(p) for p in self.probs)
+
+    def atoms(self, d) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [(np.asarray(sup, dtype=float), np.asarray(p, dtype=float))
+                for sup, p in zip(self.supports, self.probs)]
+
+
+# A reward law answers draw(mu, rng): one reward with mean mu, from one uniform draw.
 
 @dataclass(frozen=True)
-class Bernoulli:
+class Bernoulli(_Law):
     """Reward is 1 with probability equal to the mapped mean, else 0."""
 
+    kind = "bernoulli"
+
+    def draw(self, mu: float, rng: np.random.Generator) -> float:
+        return float(rng.random() < mu)
+
 
 @dataclass(frozen=True)
-class TruncatedGaussian:
+class TruncatedGaussian(_Law):
     """Mean plus Gaussian noise truncated symmetrically so r stays in [0, 1].
 
     The truncation window is +-min(mu, 1-mu), so the noise is exactly
@@ -115,11 +232,26 @@ class TruncatedGaussian:
     the window, which keeps paired-seed runs aligned.
     """
 
+    kind = "truncated_gaussian"
     sigma: float
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
+
+    def draw(self, mu: float, rng: np.random.Generator) -> float:
+        w = min(mu, 1.0 - mu)
+        u = rng.random()  # always consume one draw to keep streams aligned
+        if self.sigma == 0.0 or w == 0.0:
+            return mu
+        lo = _NORMAL.cdf(-w / self.sigma)
+        hi = _NORMAL.cdf(w / self.sigma)
+        return mu + self.sigma * _NORMAL.inv_cdf(lo + u * (hi - lo))
+
+
+# Config ``kind`` -> law class, the only place a law is listed.
+CONTEXT_LAWS = {law.kind: law for law in (GaussianProjected, BinarySupport, CustomDiscrete)}
+NOISE_LAWS = {law.kind: law for law in (Bernoulli, TruncatedGaussian)}
 
 
 # --------------------------------------------------------------------------
@@ -133,8 +265,8 @@ class EnvironmentSpec:
     d: int
     n_actions: int
     theta_star: np.ndarray
-    context_model: object
-    noise_model: object
+    context_model: object  # an instance of a CONTEXT_LAWS class
+    noise_model: object    # an instance of a NOISE_LAWS class
     horizon: int
 
     def __post_init__(self):
@@ -154,29 +286,15 @@ class EnvironmentSpec:
             problems.append(
                 f"theta_star shape {self.theta_star.shape} does not match d={self.d}"
             )
+        elif not np.all(np.isfinite(self.theta_star)):
+            problems.append(f"theta_star entries must be finite, got {self.theta_star.tolist()}")
         elif np.linalg.norm(self.theta_star) > 1.0 + _TOL:
             problems.append(
                 f"||theta_star|| = {np.linalg.norm(self.theta_star):.6g} exceeds 1"
             )
         if self.horizon < 0:
             problems.append(f"horizon must be nonnegative, got {self.horizon}")
-        cm = self.context_model
-        if isinstance(cm, GaussianProjected) and len(cm.scales) != self.n_actions:
-            problems.append("one Gaussian scale per action required")
-        if isinstance(cm, BinarySupport) and len(cm.p_minus) != self.n_actions:
-            problems.append("one p_minus per action required")
-        if isinstance(cm, CustomDiscrete):
-            if len(cm.supports) != self.n_actions:
-                problems.append("one support table per action required")
-            else:
-                for a, sup in enumerate(cm.supports):
-                    if np.asarray(sup).shape[1] != self.d:
-                        problems.append(f"action {a}: support dimension != d")
-        if not isinstance(cm, (GaussianProjected, BinarySupport, CustomDiscrete)):
-            problems.append(f"unknown context model {type(cm).__name__}")
-        if not isinstance(self.noise_model, (Bernoulli, TruncatedGaussian)):
-            problems.append(f"unknown noise model {type(self.noise_model).__name__}")
-        return problems
+        return problems + self.context_model.check(self.d, self.n_actions)
 
     def digest(self) -> str:
         """Stable hash of the spec, recorded in traces for provenance.
@@ -209,25 +327,7 @@ def _hash_into(h, value) -> None:
 
 def sample_contexts(spec: EnvironmentSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` i.i.d. context sets, shape (n, n_actions, d), norms <= 1."""
-    cm = spec.context_model
-    K, d = spec.n_actions, spec.d
-    if isinstance(cm, GaussianProjected):
-        out = rng.standard_normal((n, K, d))
-        out *= np.sqrt(np.asarray(cm.scales))[None, :, None]
-        norms = np.linalg.norm(out, axis=2, keepdims=True)
-        np.divide(out, norms, out=out, where=norms > 1.0)
-    elif isinstance(cm, BinarySupport):
-        p = np.asarray(cm.p_minus)[None, :, None]
-        signs = np.where(rng.random((n, K, d)) < p, -1.0, 1.0)
-        out = signs / math.sqrt(d)
-    elif isinstance(cm, CustomDiscrete):
-        out = np.empty((n, K, d))
-        for a in range(K):
-            sup = np.asarray(cm.supports[a], dtype=float)
-            idx = rng.choice(sup.shape[0], size=n, p=np.asarray(cm.probs[a], dtype=float))
-            out[:, a, :] = sup[idx]
-    else:
-        raise ValueError(f"unknown context model {type(cm).__name__}")
+    out = spec.context_model.sample(n, spec.d, rng)
     if np.any(np.linalg.norm(out, axis=2) > 1.0 + _TOL):
         raise AssumptionViolation("sampled context outside the unit ball")
     return out
@@ -240,17 +340,7 @@ def sample_context(spec: EnvironmentSpec, rng: np.random.Generator) -> np.ndarra
 
 def context_mean(spec: EnvironmentSpec, action: int) -> np.ndarray:
     """Exact E[X_a] for the given action."""
-    cm = spec.context_model
-    if isinstance(cm, GaussianProjected):
-        return np.zeros(spec.d)  # symmetric about the origin, projection included
-    if isinstance(cm, BinarySupport):
-        mean_coord = (1.0 - 2.0 * cm.p_minus[action]) / math.sqrt(spec.d)
-        return np.full(spec.d, mean_coord)
-    if isinstance(cm, CustomDiscrete):
-        sup = np.asarray(cm.supports[action], dtype=float)
-        p = np.asarray(cm.probs[action], dtype=float)
-        return p @ sup
-    raise ValueError(f"unknown context model {type(cm).__name__}")
+    return spec.context_model.mean(action, spec.d)
 
 
 # --------------------------------------------------------------------------
@@ -267,21 +357,7 @@ def mean_reward(spec: EnvironmentSpec, x: np.ndarray) -> float:
 
 def realize_reward(spec: EnvironmentSpec, x: np.ndarray, rng: np.random.Generator) -> float:
     """Draw one reward in [0, 1] with conditional mean mean_reward(spec, x)."""
-    mu = mean_reward(spec, x)
-    nm = spec.noise_model
-    if isinstance(nm, Bernoulli):
-        r = float(rng.random() < mu)
-    elif isinstance(nm, TruncatedGaussian):
-        w = min(mu, 1.0 - mu)
-        u = rng.random()  # always consume one draw to keep streams aligned
-        if nm.sigma == 0.0 or w == 0.0:
-            r = mu
-        else:
-            lo = _NORMAL.cdf(-w / nm.sigma)
-            hi = _NORMAL.cdf(w / nm.sigma)
-            r = mu + nm.sigma * _NORMAL.inv_cdf(lo + u * (hi - lo))
-    else:
-        raise ValueError(f"unknown noise model {type(nm).__name__}")
+    r = spec.noise_model.draw(mean_reward(spec, x), rng)
     if not 0.0 - _TOL <= r <= 1.0 + _TOL:
         raise AssumptionViolation(f"realized reward {r} outside [0, 1]")
     return min(max(r, 0.0), 1.0)
@@ -295,6 +371,9 @@ def regret_gap(context_set: np.ndarray, theta_star: np.ndarray, action: int) -> 
     """Instantaneous regret max_a <X_a, theta*> - <X_action, theta*> (>= 0)."""
     scores = context_set @ theta_star
     return float(scores.max() - scores[action])
+
+
+TRACE_HEADER = ["t", "inst_regret", "cum_regret", "bits"]
 
 
 class RegretTrace:
@@ -331,7 +410,7 @@ class RegretTrace:
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["t", "inst_regret", "cum_regret", "bits"])
+            writer.writerow(TRACE_HEADER)
             for t in range(len(self)):
                 writer.writerow(
                     [t + 1, repr(self.inst_regret[t]), repr(self.cum_regret[t]), self.bits[t]]
@@ -343,7 +422,7 @@ class RegretTrace:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
-            if header != ["t", "inst_regret", "cum_regret", "bits"]:
+            if header != TRACE_HEADER:
                 raise ValueError(f"{path}: unexpected trace header {header}")
             for row in reader:
                 trace.inst_regret.append(float(row[1]))

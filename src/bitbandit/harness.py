@@ -9,6 +9,7 @@ seed produce byte-identical files.
 
 from __future__ import annotations
 
+import csv
 import math
 import numbers
 import os
@@ -17,16 +18,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import yaml
 
-from . import env as environment
-from .env import (
-    Bernoulli,
-    BinarySupport,
-    CustomDiscrete,
-    EnvironmentSpec,
-    GaussianProjected,
-    RegretTrace,
-    TruncatedGaussian,
-)
+from .env import CONTEXT_LAWS, NOISE_LAWS, EnvironmentSpec, RegretTrace
 from .known import (
     build_action_map,
     exact_xstar_obstacle,
@@ -60,15 +52,16 @@ SCHEMA_VERSION = 1
 
 ALGORITHM_KINDS = ("known", "naive_mean", "unknown", "full_precision")
 
-SUMMARY_FIELDS = [
-    "t",
-    "mean_cum_regret",
-    "stddev_cum_regret",
-    "ci95_lo",
-    "ci95_hi",
-    "mean_bits_per_round",
-    "n_seeds",
-]
+# summary.csv column -> the type it is read back as, in column order
+SUMMARY_FIELDS = {
+    "t": int,
+    "mean_cum_regret": float,
+    "stddev_cum_regret": float,
+    "ci95_lo": float,
+    "ci95_hi": float,
+    "mean_bits_per_round": float,
+    "n_seeds": int,
+}
 
 
 class ConfigValidationError(ValueError):
@@ -119,38 +112,18 @@ class ExperimentConfig:
 # parsing / validation
 # --------------------------------------------------------------------------
 
-def _parse_context_model(node, problems):
-    kind = node.get("kind")
+def _parse_law(node, laws: dict, section: str, problems: list[str]):
+    """The law of config node ``environment.<section>``, built by the class its
+    ``kind`` names in ``laws``, or None after appending a problem."""
+    kind = node.get("kind") if isinstance(node, dict) else None
+    if not isinstance(kind, str) or kind not in laws:
+        problems.append(f"{section}.kind must be one of {'/'.join(laws)}, got {kind!r}")
+        return None
     try:
-        if kind == "gaussian_projected":
-            return GaussianProjected(scales=tuple(float(s) for s in node["scales"]))
-        if kind == "binary_support":
-            return BinarySupport(p_minus=tuple(float(p) for p in node["p_minus"]))
-        if kind == "custom":
-            actions = node["actions"]
-            return CustomDiscrete(
-                supports=tuple(np.asarray(a["support"], dtype=float) for a in actions),
-                probs=tuple(np.asarray(a["probs"], dtype=float) for a in actions),
-            )
-        problems.append(f"context_model.kind must be one of "
-                        f"gaussian_projected/binary_support/custom, got {kind!r}")
+        return laws[kind].from_node(node)
     except (KeyError, TypeError, ValueError) as exc:
-        problems.append(f"context_model: {exc}")
-    return None
-
-
-def _parse_noise_model(node, problems):
-    kind = node.get("kind")
-    try:
-        if kind == "bernoulli":
-            return Bernoulli()
-        if kind == "truncated_gaussian":
-            return TruncatedGaussian(sigma=float(node["sigma"]))
-        problems.append(f"noise_model.kind must be bernoulli or truncated_gaussian, "
-                        f"got {kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
-        problems.append(f"noise_model: {exc}")
-    return None
+        problems.append(f"{section}: {exc}")
+        return None
 
 
 def _coerce(value, cast, name: str, problems: list[str], minimum=None):
@@ -201,9 +174,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(env_node, dict):
         problems.append("missing 'environment' section")
     else:
-        cm = _parse_context_model(env_node.get("context_model", {}), problems)
-        nm = _parse_noise_model(env_node.get("noise_model", {}), problems)
-        sizes = [_coerce(env_node.get(key), int, f"environment.{key}", problems)
+        cm = _parse_law(env_node.get("context_model"), CONTEXT_LAWS, "context_model", problems)
+        nm = _parse_law(env_node.get("noise_model"), NOISE_LAWS, "noise_model", problems)
+        sizes = [_coerce(env_node.get(key), int, f"environment.{key}", problems, 1)
                  for key in ("d", "actions", "horizon")]
         if cm is not None and nm is not None and None not in sizes:
             try:
@@ -279,31 +252,6 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def _context_model_to_dict(cm) -> dict:
-    if isinstance(cm, GaussianProjected):
-        return {"kind": "gaussian_projected", "scales": list(cm.scales)}
-    if isinstance(cm, BinarySupport):
-        return {"kind": "binary_support", "p_minus": list(cm.p_minus)}
-    if isinstance(cm, CustomDiscrete):
-        return {
-            "kind": "custom",
-            "actions": [
-                {"support": np.asarray(s, dtype=float).tolist(),
-                 "probs": np.asarray(p, dtype=float).tolist()}
-                for s, p in zip(cm.supports, cm.probs)
-            ],
-        }
-    raise ValueError(f"unknown context model {type(cm).__name__}")
-
-
-def _noise_model_to_dict(nm) -> dict:
-    if isinstance(nm, Bernoulli):
-        return {"kind": "bernoulli"}
-    if isinstance(nm, TruncatedGaussian):
-        return {"kind": "truncated_gaussian", "sigma": nm.sigma}
-    raise ValueError(f"unknown noise model {type(nm).__name__}")
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Plain-types dict that parses back to an equivalent config."""
     algo = {"kind": cfg.algorithm.kind}
@@ -317,8 +265,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             "d": cfg.spec.d,
             "actions": cfg.spec.n_actions,
             "theta_star": cfg.spec.theta_star.tolist(),
-            "context_model": _context_model_to_dict(cfg.spec.context_model),
-            "noise_model": _noise_model_to_dict(cfg.spec.noise_model),
+            "context_model": cfg.spec.context_model.to_node(),
+            "noise_model": cfg.spec.noise_model.to_node(),
             "horizon": cfg.spec.horizon,
         },
         "algorithm": algo,
@@ -455,40 +403,19 @@ def summarize(traces: list[RegretTrace], checkpoints: list[int] | None = None) -
 
 
 def write_summary_csv(rows: list[dict], path) -> None:
-    import csv
-
+    """One line per row in SUMMARY_FIELDS order; csv writes each float as its repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_FIELDS)
-        for row in rows:
-            writer.writerow([
-                row["t"],
-                repr(row["mean_cum_regret"]),
-                repr(row["stddev_cum_regret"]),
-                repr(row["ci95_lo"]),
-                repr(row["ci95_hi"]),
-                repr(row["mean_bits_per_round"]),
-                row["n_seeds"],
-            ])
+        writer.writerows([row[name] for name in SUMMARY_FIELDS] for row in rows)
 
 
 def read_summary_csv(path) -> list[dict]:
-    import csv
-
-    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        if header != SUMMARY_FIELDS:
+        if header != list(SUMMARY_FIELDS):
             raise ValueError(f"{path}: unexpected summary header {header}")
-        for raw in reader:
-            rows.append({
-                "t": int(raw[0]),
-                "mean_cum_regret": float(raw[1]),
-                "stddev_cum_regret": float(raw[2]),
-                "ci95_lo": float(raw[3]),
-                "ci95_hi": float(raw[4]),
-                "mean_bits_per_round": float(raw[5]),
-                "n_seeds": int(raw[6]),
-            })
-    return rows
+        return [{name: cast(value)
+                 for (name, cast), value in zip(SUMMARY_FIELDS.items(), raw, strict=True)}
+                for raw in reader]

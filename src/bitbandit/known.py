@@ -56,13 +56,9 @@ def greedy_action(context_set: np.ndarray, theta: np.ndarray) -> int:
 
 def exact_xstar_obstacle(spec: EnvironmentSpec) -> str | None:
     """Why exact xstar is unavailable for the spec's context law; None when it is not."""
-    cm = spec.context_model
-    if isinstance(cm, environment.BinarySupport):
-        atoms = 2 ** spec.d
-    elif isinstance(cm, environment.CustomDiscrete):
-        atoms = max(len(pr) for pr in cm.probs)
-    else:
-        return f"the {type(cm).__name__} context law has no finite support"
+    atoms = spec.context_model.atom_count(spec.d)
+    if atoms is None:
+        return f"the {type(spec.context_model).__name__} context law has no finite support"
     if atoms > _ATOM_LIMIT:
         return f"an action's support has {atoms} atoms, over the limit of {_ATOM_LIMIT}"
     return None
@@ -71,20 +67,7 @@ def exact_xstar_obstacle(spec: EnvironmentSpec) -> str | None:
 def _finite_supports(spec: EnvironmentSpec):
     """Per-action (vectors, probs) of a finite context law, or None when
     exact_xstar_obstacle names a reason there are none."""
-    if exact_xstar_obstacle(spec) is not None:
-        return None
-    cm = spec.context_model
-    if isinstance(cm, environment.BinarySupport):
-        d = spec.d
-        # row i has a minus sign where bit d-1-j of i is set: itertools.product order
-        minus = (np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1)) & 1
-        vecs = np.where(minus == 1, -1.0, 1.0) / math.sqrt(d)
-        k = minus.sum(axis=1)
-        return [(vecs, p ** k * (1.0 - p) ** (d - k)) for p in cm.p_minus]
-    return [
-        (np.asarray(sup, dtype=float), np.asarray(pr, dtype=float))
-        for sup, pr in zip(cm.supports, cm.probs)
-    ]
+    return None if exact_xstar_obstacle(spec) else spec.context_model.atoms(spec.d)
 
 
 def _agent_scores(supports, theta: np.ndarray) -> list[np.ndarray]:
@@ -173,9 +156,6 @@ class ActionMap:
         self.table = np.atleast_2d(np.asarray(self.table, dtype=float))
         if self.thetas.shape != self.table.shape or self.thetas.shape[0] < 1:
             raise ValueError("thetas and table must be matching (n, d) arrays")
-
-    def __len__(self) -> int:
-        return self.table.shape[0]
 
 
 def build_action_map(spec: EnvironmentSpec, thetas, method: str = "auto",

@@ -55,10 +55,6 @@ class UnknownLearnerState:
     t: int = 0
     solve_min_rounds: int = 1
 
-    @property
-    def d(self) -> int:
-        return self.u.size
-
 
 def new_learner_state(d: int, solve_min_rounds: int | None = None) -> UnknownLearnerState:
     """Fresh all-zeros state; the solve is skipped until t >= solve_min_rounds."""

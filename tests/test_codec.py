@@ -64,6 +64,12 @@ class TestBitBuffer:
         with pytest.raises(MessageCodecError):
             BitBuffer.from_bytes(b"", 1)
 
+    def test_nonzero_padding_rejected(self):
+        with pytest.raises(MessageCodecError, match="padding"):
+            BitBuffer.from_bytes(b"\xff", 1)  # would read as reward bit 1
+        with pytest.raises(MessageCodecError, match="padding"):
+            BitBuffer.from_bytes(b"\x00\x01", 9)
+
     def test_read_past_end_raises(self):
         buf = BitBuffer()
         buf.write(3, 2)
@@ -171,6 +177,11 @@ class TestKnownMessageCodec:
         assert encode_known(KnownMessage(reward_bit=1)).to_bytes() == b"\x80"
         assert encode_known(KnownMessage(reward_bit=0)).to_bytes() == b"\x00"
 
+    def test_nonzero_padding_rejected(self):
+        assert decode_known(BitBuffer.from_bytes(b"\x80", 1)).reward_bit == 1
+        with pytest.raises(MessageCodecError, match="padding"):
+            decode_known(BitBuffer.from_bytes(b"\x81", 1))
+
     def test_wrong_length_rejected(self):
         buf = BitBuffer()
         buf.write(0b10, 2)
@@ -194,6 +205,12 @@ class TestUnknownMessageCodec:
         buf = encode_unknown(msg)
         assert len(buf) == bit_budget(1) == 5
         assert buf.to_bytes() == b"\xf0"
+
+    def test_nonzero_padding_rejected_d1(self):
+        msg = decode_unknown(BitBuffer.from_bytes(b"\xf0", 5), 1)
+        assert msg.reward_bit == 1 and msg.context.magnitudes.tolist() == [2]
+        with pytest.raises(MessageCodecError, match="padding"):
+            decode_unknown(BitBuffer.from_bytes(b"\xf1", 5), 1)
 
     def test_golden_bytes_d2(self):
         # 0 | 10 | 01 | 0111  ->  0b01001011, 0b10000000; rank((1,2)) = 7

@@ -145,6 +145,11 @@ class TestContextModels:
             CustomDiscrete(
                 supports=(np.array([[0.5, 0.0]]),), probs=(np.array([0.7]),)
             )  # probs do not sum to 1
+        with pytest.raises(ValueError, match="one probs table per support table"):
+            CustomDiscrete(
+                supports=(np.array([[0.5, 0.0]]), np.array([[0.0, 0.5]])),
+                probs=(np.array([1.0]),),
+            )  # fewer probs tables than support tables
 
 
 class TestRewards:

@@ -35,6 +35,20 @@ BASE_CONFIG = {
     "output_dir": "results/demo",
 }
 
+# One config node per law, each valid for BASE_CONFIG's d=1 and two actions.
+CONTEXT_MODELS = {
+    "binary_support": BASE_CONFIG["environment"]["context_model"],
+    "custom": {"kind": "custom", "actions": [
+        {"support": [[1.0], [-0.5]], "probs": [0.25, 0.75]},
+        {"support": [[0.2]], "probs": [1.0]},
+    ]},
+    "gaussian_projected": {"kind": "gaussian_projected", "scales": [0.5, 1.0]},
+}
+NOISE_MODELS = {
+    "bernoulli": BASE_CONFIG["environment"]["noise_model"],
+    "truncated_gaussian": {"kind": "truncated_gaussian", "sigma": 0.3},
+}
+
 
 def make_config(**overrides):
     raw = copy.deepcopy(BASE_CONFIG)
@@ -95,6 +109,7 @@ class TestConfigParsing:
         ("algorithm__xstar_samples", "abc", "xstar_samples"),
         ("seeds", [-1], "seeds"),
         ("algorithm", {"kind": "unknown", "solve_min_rounds": "x"}, "solve_min_rounds"),
+        ("environment__horizon", 0, "environment.horizon"),
     ])
     def test_mistyped_value_is_a_config_error(self, key, value, fragment, tmp_path, capsys):
         raw = make_config(**{key: value})
@@ -119,6 +134,21 @@ class TestConfigParsing:
         ({"environment__d": 17, "environment__theta_star": [0.0] * 17,
           "algorithm": {"kind": "known", "theta_grid": [[0.1] * 17], "xstar_method": "exact"}},
          "131072 atoms"),
+        ({"environment__d": 2, "environment__theta_star": [float("nan"), 0.0]}, "theta_star"),
+        ({"environment__context_model": {"kind": "gaussian_projected",
+                                         "scales": [float("nan"), 0.5]}}, "scales"),
+        ({"environment__context_model": {"kind": "gaussian_projected",
+                                         "scales": [float("inf"), 0.5]}}, "scales"),
+        ({"environment__context_model": {"kind": "custom", "actions": [
+            {"support": [[float("nan")]], "probs": [1.0]}, {"support": [[0.5]], "probs": [1.0]},
+        ]}}, "support"),
+        ({"environment__context_model": {"kind": "custom", "actions": [
+            {"support": [[0.5]], "probs": [1.0]}, {"support": [[0.5]], "probs": [float("nan")]},
+        ]}}, "probs"),
+        ({"environment__noise_model": {"kind": "truncated_gaussian", "sigma": float("nan")}},
+         "sigma"),
+        ({"environment__noise_model": {"kind": "truncated_gaussian", "sigma": float("inf")}},
+         "sigma"),
     ])
     def test_unusable_xstar_grid_or_law_is_a_config_error(self, overrides, fragment,
                                                           tmp_path, capsys):
@@ -131,13 +161,20 @@ class TestConfigParsing:
         assert cli_main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 2
         assert fragment in capsys.readouterr().err
 
-    def test_roundtrip_through_dict(self):
-        cfg = parse_config(make_config())
+    @pytest.mark.parametrize("noise", sorted(NOISE_MODELS))
+    @pytest.mark.parametrize("context", sorted(CONTEXT_MODELS))
+    def test_roundtrip_through_dict(self, context, noise):
+        cfg = parse_config(make_config(environment__context_model=CONTEXT_MODELS[context],
+                                       environment__noise_model=NOISE_MODELS[noise]))
         again = parse_config(config_to_dict(cfg))
         assert config_to_dict(cfg) == config_to_dict(again)
+        assert again.spec.digest() == cfg.spec.digest()
 
-    def test_yaml_dump_and_load(self, tmp_path):
-        cfg = parse_config(make_config())
+    @pytest.mark.parametrize("noise", sorted(NOISE_MODELS))
+    @pytest.mark.parametrize("context", sorted(CONTEXT_MODELS))
+    def test_yaml_dump_and_load(self, context, noise, tmp_path):
+        cfg = parse_config(make_config(environment__context_model=CONTEXT_MODELS[context],
+                                       environment__noise_model=NOISE_MODELS[noise]))
         path = tmp_path / "cfg.yaml"
         dump_config(cfg, path)
         back = load_config(path)
@@ -187,7 +224,8 @@ class TestRunExperiment:
             np.testing.assert_array_equal(t1.inst_regret, t2.inst_regret)
 
 
-# Golden figures of the RNG stream layout, one spec per algorithm kind.  Any
+# Golden figures of the RNG stream layout, one spec per algorithm kind, plus a
+# custom law (one rng.choice per action) under truncated Gaussian noise.  Any
 # change to the order or number of random draws per round moves them, while
 # reruns of the same code (criterion-10) would still agree.
 _PIN_BINARY = {
@@ -200,7 +238,21 @@ _PIN_GAUSS = {
     "context_model": {"kind": "gaussian_projected", "scales": [0.5] * 4},
     "noise_model": {"kind": "truncated_gaussian", "sigma": 0.2}, "horizon": 300,
 }
+_PIN_CUSTOM = {
+    "d": 2, "actions": 3, "theta_star": [0.7, -0.4],
+    "context_model": {"kind": "custom", "actions": [
+        {"support": [[0.61, 0.13], [-0.07, 0.83], [-0.52, -0.47]], "probs": [0.5, 0.3, 0.2]},
+        {"support": [[0.33, -0.58], [-0.71, 0.12]], "probs": [0.4, 0.6]},
+        {"support": [[0.88, 0.05], [0.04, -0.91], [0.23, 0.19], [-0.42, 0.63]],
+         "probs": [0.1, 0.2, 0.3, 0.4]},
+    ]},
+    "noise_model": {"kind": "truncated_gaussian", "sigma": 0.25}, "horizon": 300,
+}
 _PIN_CASES = {
+    "known_custom": (_PIN_CUSTOM,
+                     {"kind": "known",
+                      "theta_grid": [[0.7, -0.4], [0.3, 0.6], [-0.5, -0.5], [0.0, 0.9]]},
+                     [2.042, 12.775999999999998, 37.71100000000002, 45.97800000000004], 1),
     "known": (_PIN_BINARY,
               {"kind": "known", "theta_grid": [[0.6, -0.5], [-0.6, 0.5], [0.5, 0.5]]},
               [1.5556349186104044, 3.676955262170047, 13.435028842544405,
