@@ -157,7 +157,9 @@ def _enforce_l1_budget(levels: np.ndarray, scaled: np.ndarray, budget: int) -> n
     levels = levels.copy()
     levels[order[:excess]] -= 1
     if levels.sum() > budget:
-        raise AssertionError("magnitude budget unsatisfiable; input norm > 1?")
+        raise AssumptionViolation(
+            f"magnitude levels sum to {int(levels.sum())} after demotion, over "
+            f"the L1 budget {budget}; input norm > 1?")
     return levels
 
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitbandit.codec import (
     BitBuffer,
@@ -20,7 +22,19 @@ from bitbandit.codec import (
     lattice_enumerator,
     q_size,
 )
-from bitbandit.quantizer import QuantizedContext, quantize_context
+from bitbandit.quantizer import QuantizedContext, magnitude_scale, quantize_context
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def lattice_vectors(draw):
+    """A member of Q_d = {v in N^d : ||v||_1 <= 2d} for some d <= 64."""
+    d = draw(st.integers(1, 64))
+    v = np.array(draw(st.lists(st.integers(0, 2 * d), min_size=d, max_size=d)),
+                 dtype=np.int64)
+    total = int(v.sum())
+    return v * (2 * d) // total if total > 2 * d else v
 
 
 class TestBitBuffer:
@@ -126,6 +140,22 @@ class TestLatticeEnumerator:
         for _ in range(2_000):
             r = int(rng.integers(0, enum.size))
             assert enum.rank(enum.unrank(r)) == r
+
+    @PROPERTY
+    @given(lattice_vectors())
+    def test_unrank_inverts_rank_up_to_d64(self, vec):
+        enum = lattice_enumerator(vec.size)
+        r = enum.rank(vec)
+        assert 0 <= r < enum.size
+        np.testing.assert_array_equal(enum.unrank(r), vec)
+
+    @PROPERTY
+    @given(st.integers(1, 64).flatmap(
+        lambda d: st.tuples(st.just(d), st.integers(0, q_size(d) - 1))))
+    def test_rank_inverts_unrank_up_to_d64(self, d_and_rank):
+        d, r = d_and_rank
+        enum = lattice_enumerator(d)
+        assert enum.rank(enum.unrank(r)) == r
 
     def test_membership_rejection(self):
         enum = lattice_enumerator(3)
@@ -238,6 +268,22 @@ class TestUnknownMessageCodec:
                 np.testing.assert_array_equal(out.context.magnitudes, qc.magnitudes)
                 np.testing.assert_allclose(out.context.sq_errors, qc.sq_errors)
                 assert out.context.m == qc.m
+
+    @PROPERTY
+    @given(lattice_vectors(), st.data())
+    def test_framed_roundtrip_returns_any_context(self, magnitudes, data):
+        d = magnitudes.size
+        signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=d, max_size=d))
+        sq_signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=d, max_size=d))
+        bit = data.draw(st.integers(0, 1))
+        qc = self._context(signs, magnitudes, sq_signs, magnitude_scale(d))
+        buf = encode_unknown(UnknownMessage(reward_bit=bit, context=qc))
+        assert len(buf) == bit_budget(d)
+        out = decode_unknown(BitBuffer.from_bytes(buf.to_bytes(), len(buf)), d)
+        assert out.reward_bit == bit and out.context.m == qc.m
+        np.testing.assert_array_equal(out.context.signs, qc.signs)
+        np.testing.assert_array_equal(out.context.magnitudes, qc.magnitudes)
+        np.testing.assert_array_equal(out.context.sq_errors, qc.sq_errors)
 
     def test_wrong_length_rejected(self):
         buf = BitBuffer()

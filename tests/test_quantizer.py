@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitbandit.quantizer import (
     AssumptionViolation,
     QuantizationRangeError,
     StochasticQuantizer,
+    _enforce_l1_budget,
     magnitude_scale,
     quantize_context,
     reconstruct_context,
@@ -194,6 +197,23 @@ class TestQuantizeContext:
         assert np.all(
             (qc.magnitudes == np.floor(scaled)) | (qc.magnitudes == np.ceil(scaled))
         )
+
+    def test_unsatisfiable_budget_is_a_typed_error(self):
+        # every level already sits on its floor, so no demotion can help
+        with pytest.raises(AssumptionViolation, match="sum to 6 .* budget 4"):
+            _enforce_l1_budget(np.array([3, 3]), np.array([3.0, 3.0]), 4)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 64).flatmap(
+               lambda d: st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)),
+           st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_error_within_one_step_per_coordinate(self, coords, radius, seed):
+        x = np.array(coords)
+        norm = np.linalg.norm(x)
+        if norm > 0:
+            x *= radius / norm
+        xhat, _ = reconstruct_context(quantize_context(x, np.random.default_rng(seed)))
+        assert np.abs(xhat - x).max() <= 1.0 / magnitude_scale(x.size) + 1e-12
 
     def test_reconstruction_error_bounds(self):
         rng = np.random.default_rng(42)

@@ -1,5 +1,7 @@
 """Tests for the unknown-distribution learner: state updates, wire loop, solver."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,19 @@ def integral_grid_spec(horizon=300):
     return EnvironmentSpec(
         d=2, n_actions=2, theta_star=np.array([0.6, 0.3]),
         context_model=CustomDiscrete(supports=(sup0, sup1), probs=(pr0, pr1)),
+        noise_model=Bernoulli(), horizon=horizon,
+    )
+
+
+def line_spec(horizon=40):
+    """d=2 contexts all on the line through (0.6, 0.8), so their Gram matrix
+    never gains a second direction."""
+    direction = np.array([0.6, 0.8])
+    sup = np.array([1.0, 0.7, -0.35, 0.2])[:, None] * direction
+    return EnvironmentSpec(
+        d=2, n_actions=2, theta_star=np.array([0.6, 0.3]),
+        context_model=CustomDiscrete(supports=(sup, sup[::-1]),
+                                     probs=(np.full(4, 0.25), np.full(4, 0.25))),
         noise_model=Bernoulli(), horizon=horizon,
     )
 
@@ -114,6 +129,60 @@ class TestLsOracleEquivalence:
 
         trace = simulate(spec, 9, lambda: state.theta_hat, channel, learn)
         assert len(trace) == 300
+
+
+class TestSolver:
+    """The LU solve must give pinv's minimum-norm answer or fall back to pinv."""
+
+    def test_exactly_singular_gram_falls_back(self):
+        rng = np.random.default_rng(0)
+        state = new_learner_state(3, solve_min_rounds=1)
+        # full-precision contexts on the first two axes: row and column 3 stay 0
+        for axis, scale in zip(rng.integers(0, 2, size=40), rng.uniform(0.2, 1.0, 40)):
+            x = scale * np.eye(3)[axis]
+            apply_update(state, int(rng.integers(0, 2)), x, x * x)
+        assert state.pinv_fallbacks == 40
+        np.testing.assert_allclose(state.theta_hat, np.linalg.pinv(state.v_tilde) @ state.u,
+                                   rtol=0, atol=1e-12)
+
+    def test_numerically_rank_deficient_gram_matches_pinv(self):
+        # LU returns a modest-norm answer far from pinv's here, so a check on
+        # ||theta|| alone would not catch it
+        rng = np.random.default_rng(0)
+        state = new_learner_state(2, solve_min_rounds=1)
+        for c in rng.uniform(-1.0, 1.0, 50):
+            x = c * np.array([0.6, 0.8])
+            apply_update(state, int(rng.integers(0, 2)), x, x * x)
+            assert np.linalg.cond(state.v_tilde) > 1e12
+            np.testing.assert_allclose(state.theta_hat,
+                                       np.linalg.pinv(state.v_tilde) @ state.u,
+                                       rtol=0, atol=1e-9)
+        assert state.pinv_fallbacks == 50
+
+    def test_well_conditioned_run_never_falls_back(self):
+        spec = gaussian_spec(d=5, k=10, horizon=1000)
+        state = new_learner_state(spec.d)
+        simulate(spec, 0, lambda: state.theta_hat, lattice_channel,
+                 lambda *received: apply_update(state, *received))
+        assert state.t == 1000 and state.pinv_fallbacks == 0
+        np.testing.assert_allclose(state.theta_hat, np.linalg.solve(state.v_tilde, state.u),
+                                   rtol=0, atol=1e-12)
+
+
+class TestPilotExcitationCheck:
+    @pytest.mark.parametrize("spec, seeds, warns", [
+        # seeds whose first plays repeat one atom, so lambda_min(2) = 0
+        (integral_grid_spec(horizon=40), (0, 4, 7, 8), False),
+        (line_spec(), (0, 1), True),
+    ], ids=["exciting-grid-law", "line-law"])
+    def test_warns_only_when_the_law_fails_to_excite(self, spec, seeds, warns, caplog):
+        for seed in seeds:
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="bitbandit.unknown"):
+                run_unknown(spec, seed=seed, pilot_rounds=30)
+            assert bool(caplog.records) == warns, seed
+            if warns:
+                assert "over rounds 15..30" in caplog.text
 
 
 class TestRunUnknown:
