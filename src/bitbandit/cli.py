@@ -4,7 +4,7 @@ Subcommands:
 
 * ``run CONFIG``            -- simulate every seed in a config, write CSVs
 * ``summarize TRACE...``    -- cross-seed summary of existing trace CSVs
-* ``codec-selftest``        -- rank/unrank bijection and bit-budget checks
+* ``codec-selftest``        -- rank/unrank bijection, bit-budget and framed-message checks
 * ``xstar CONFIG``          -- print the theta -> xstar table of a config
 """
 
@@ -16,7 +16,8 @@ import sys
 
 import numpy as np
 
-from .codec import bit_budget, lattice_enumerator, q_size
+from .codec import (BitBuffer, UnknownMessage, bit_budget, decode_unknown, encode_unknown,
+                    lattice_enumerator, q_size)
 from .env import RegretTrace
 from .harness import (
     ConfigValidationError,
@@ -26,6 +27,7 @@ from .harness import (
     summarize,
     write_summary_csv,
 )
+from .quantizer import QuantizedContext, magnitude_scale
 
 
 def _cmd_run(args) -> int:
@@ -56,6 +58,21 @@ def _cmd_summarize(args) -> int:
     return 0
 
 
+def _message_roundtrip_ok(d: int, rng: random.Random) -> bool:
+    """Encode, frame and parse one random d-dimensional message; True if it is unchanged."""
+    enum, m = lattice_enumerator(d), magnitude_scale(d)
+    sent = UnknownMessage(reward_bit=rng.randrange(2), context=QuantizedContext(
+        signs=np.array([rng.choice((-1, 1)) for _ in range(d)], dtype=np.int8),
+        magnitudes=enum.unrank(rng.randrange(enum.size)),
+        sq_errors=np.array([rng.choice((-3.0, 3.0)) / m for _ in range(d)]), m=m))
+    buf = encode_unknown(sent)
+    got = decode_unknown(BitBuffer.from_bytes(buf.to_bytes(), len(buf)), d)
+    return len(buf) == bit_budget(d) and got.reward_bit == sent.reward_bit and all(
+        a.dtype == b.dtype and np.array_equal(a, b)
+        for a, b in ((getattr(got.context, f), getattr(sent.context, f))
+                     for f in ("signs", "magnitudes", "sq_errors")))
+
+
 def _cmd_codec_selftest(args) -> int:
     rng = random.Random(0)  # stdlib: ranks can exceed any fixed-width integer
     failures = 0
@@ -74,10 +91,11 @@ def _cmd_codec_selftest(args) -> int:
         else:
             ranks = (rng.randrange(enum.size) for _ in range(args.samples))
         bad = sum(1 for r in ranks if enum.rank(enum.unrank(r)) != r)
-        failures += bad
+        bad_msgs = sum(not _message_roundtrip_ok(d, rng) for _ in range(8))
+        failures += bad + bad_msgs
         mode = "exhaustive" if enum.size <= args.exhaustive_limit else "sampled"
         print(f"d={d:3d}: |Q|={enum.size}  budget={budget} bits  "
-              f"roundtrip {mode} ok={bad == 0}")
+              f"roundtrip {mode} ok={bad == 0}  messages ok={bad_msgs == 0}")
     if failures:
         print(f"selftest FAILED ({failures} failure(s))", file=sys.stderr)
         return 1

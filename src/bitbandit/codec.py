@@ -150,16 +150,17 @@ class LatticeEnumerator:
             raise ValueError(f"expected shape ({self.d},), got {vec.shape}")
         if not np.issubdtype(vec.dtype, np.integer):
             raise ValueError(f"lattice vectors are integer, got dtype {vec.dtype}")
-        if np.any(vec < 0):
-            raise LatticeMembershipError(f"negative coordinate in {vec.tolist()}")
-        if int(vec.sum()) > self.budget:
+        vals = vec.tolist()
+        if min(vals) < 0:
+            raise LatticeMembershipError(f"negative coordinate in {vals}")
+        if sum(vals) > self.budget:
             raise LatticeMembershipError(
-                f"||v||_1 = {int(vec.sum())} exceeds budget {self.budget}"
+                f"||v||_1 = {sum(vals)} exceeds budget {self.budget}"
             )
         count = self._count
         r = 0
         b = self.budget
-        for i, v in enumerate(vec.tolist()):
+        for i, v in enumerate(vals):
             k = self.d - i  # coordinates from i onward
             r += count[k][b] - count[k][b - v]
             b -= v
@@ -169,19 +170,16 @@ class LatticeEnumerator:
         """Inverse of rank."""
         if not 0 <= r < self.size:
             raise MessageCodecError(f"rank {r} outside 0..{self.size - 1}")
-        count = self._count
-        out = np.empty(self.d, dtype=np.int64)
+        out = []
         b = self.budget
-        for i in range(self.d):
-            k = self.d - 1 - i
-            row = count[k]
+        for row in reversed(self._count[:self.d]):  # count[d-1], ..., count[0]
             v = 0
             while r >= row[b - v]:
                 r -= row[b - v]
                 v += 1
-            out[i] = v
+            out.append(v)
             b -= v
-        return out
+        return np.array(out, dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -190,6 +188,7 @@ def lattice_enumerator(d: int) -> LatticeEnumerator:
     return LatticeEnumerator(d)
 
 
+@lru_cache(maxsize=None)
 def _rank_width(d: int) -> int:
     return (q_size(d) - 1).bit_length()
 
@@ -244,15 +243,16 @@ def encode_unknown(msg: UnknownMessage) -> BitBuffer:
     """Serialize an unknown-distribution message into exactly bit_budget(d) bits."""
     qc = msg.context
     d = qc.d
-    enum = lattice_enumerator(d)
+    # sign and square bits as one 2d-bit field; packbits zero-pads to whole bytes
+    packed = np.packbits(np.concatenate((qc.signs > 0, qc.sq_errors > 0)))
     buf = BitBuffer()
     buf.write(msg.reward_bit, 1)
-    for s in qc.signs.tolist():
-        buf.write(1 if s > 0 else 0, 1)
-    for e in qc.sq_errors.tolist():
-        buf.write(1 if e > 0 else 0, 1)
-    buf.write(enum.rank(qc.magnitudes), _rank_width(d))
+    buf.write(int.from_bytes(packed.tobytes(), "big") >> (-2 * d % 8), 2 * d)
+    buf.write(lattice_enumerator(d).rank(qc.magnitudes), _rank_width(d))
     return buf
+
+
+_SIGN_OF_BIT = np.array([-1, 1], dtype=np.int8)
 
 
 def decode_unknown(buf: BitBuffer, d: int) -> UnknownMessage:
@@ -262,11 +262,12 @@ def decode_unknown(buf: BitBuffer, d: int) -> UnknownMessage:
             f"unknown message for d={d} is {bit_budget(d)} bits, buffer has {len(buf)}"
         )
     reward_bit = buf.read(1)
-    signs = np.array([1 if buf.read(1) else -1 for _ in range(d)], dtype=np.int8)
-    m = magnitude_scale(d)
-    err_bits = [buf.read(1) for _ in range(d)]
-    sq_errors = np.array([(3.0 / m) if b else (-3.0 / m) for b in err_bits])
+    # the 2d-bit sign and square field as one 0/1 byte per bit (ASCII '0' is 48)
+    bits = np.frombuffer(format(buf.read(2 * d), f"0{2 * d}b").encode(), np.uint8) - 48
     rank = buf.read(_rank_width(d))
+    m = magnitude_scale(d)
+    signs = _SIGN_OF_BIT.take(bits[:d])
+    sq_errors = np.array([-3.0 / m, 3.0 / m]).take(bits[d:])
     enum = lattice_enumerator(d)
     if rank >= enum.size:
         raise MessageCodecError(f"rank {rank} outside lattice of size {enum.size}")

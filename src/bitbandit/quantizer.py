@@ -73,10 +73,17 @@ class StochasticQuantizer:
 
     def encode(self, x, rng: np.random.Generator):
         """Randomly round ``x`` (scalar or array) to integer levels in 0..levels."""
-        x = np.asarray(x, dtype=float)
         lo, hi = self.lower, self.upper
-        if np.any(x < lo - _BOUNDARY_TOL) or np.any(x > hi + _BOUNDARY_TOL):
-            bad = int(np.argmax((x < lo - _BOUNDARY_TOL) | (x > hi + _BOUNDARY_TOL)))
+        if isinstance(x, float):  # np.float64 too; draws once, like the array path
+            if not lo - _BOUNDARY_TOL <= x <= hi + _BOUNDARY_TOL:  # NaN fails too
+                raise QuantizationRangeError(f"input {x} outside [{lo}, {hi}]")
+            scaled = min(max((float(x) - lo) * (self.levels / (hi - lo)), 0.0), self.levels)
+            base = int(scaled)
+            return min(base + (rng.random() < scaled - base), self.levels)
+        x = np.asarray(x, dtype=float)
+        outside = ~((x >= lo - _BOUNDARY_TOL) & (x <= hi + _BOUNDARY_TOL))  # NaN too
+        if outside.any():
+            bad = int(np.argmax(outside))
             raise QuantizationRangeError(
                 f"input {x.flat[bad]} at position {bad} outside [{lo}, {hi}]"
             )

@@ -37,6 +37,29 @@ def lattice_vectors(draw):
     return v * (2 * d) // total if total > 2 * d else v
 
 
+def reference_encode(msg: UnknownMessage) -> BitBuffer:
+    """The unknown-message layout of docs/PROTOCOL.md, one BitBuffer.write per bit."""
+    qc = msg.context
+    buf = BitBuffer()
+    buf.write(msg.reward_bit, 1)
+    for s in qc.signs.tolist():
+        buf.write(1 if s > 0 else 0, 1)
+    for e in qc.sq_errors.tolist():
+        buf.write(1 if e > 0 else 0, 1)
+    buf.write(lattice_enumerator(qc.d).rank(qc.magnitudes), bit_budget(qc.d) - 1 - 2 * qc.d)
+    return buf
+
+
+def reference_decode(buf: BitBuffer, d: int):
+    """(reward bit, signs, magnitudes, sq_errors), one BitBuffer.read per bit."""
+    reward_bit = buf.read(1)
+    signs = np.array([1 if buf.read(1) else -1 for _ in range(d)], dtype=np.int8)
+    m = magnitude_scale(d)
+    sq_errors = np.array([(3.0 / m) if buf.read(1) else (-3.0 / m) for _ in range(d)])
+    magnitudes = lattice_enumerator(d).unrank(buf.read(bit_budget(d) - 1 - 2 * d))
+    return reward_bit, signs, magnitudes, sq_errors
+
+
 class TestBitBuffer:
     def test_write_read_roundtrip(self):
         rng = np.random.default_rng(42)
@@ -284,6 +307,26 @@ class TestUnknownMessageCodec:
         np.testing.assert_array_equal(out.context.signs, qc.signs)
         np.testing.assert_array_equal(out.context.magnitudes, qc.magnitudes)
         np.testing.assert_array_equal(out.context.sq_errors, qc.sq_errors)
+
+    @PROPERTY
+    @given(lattice_vectors(), st.data())
+    def test_wire_layout_matches_per_bit_reference(self, magnitudes, data):
+        """Bytes and decoded fields (value and dtype) equal the per-bit codec's."""
+        d = magnitudes.size
+        signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=d, max_size=d))
+        sq_signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=d, max_size=d))
+        msg = UnknownMessage(reward_bit=data.draw(st.integers(0, 1)),
+                             context=self._context(signs, magnitudes, sq_signs,
+                                                   magnitude_scale(d)))
+        wire = encode_unknown(msg).to_bytes()
+        assert wire == reference_encode(msg).to_bytes()
+        out = decode_unknown(BitBuffer.from_bytes(wire, bit_budget(d)), d)
+        bit, *fields = reference_decode(BitBuffer.from_bytes(wire, bit_budget(d)), d)
+        assert type(out.reward_bit) is int and out.reward_bit == bit
+        got = (out.context.signs, out.context.magnitudes, out.context.sq_errors)
+        for g, want, dtype in zip(got, fields, (np.int8, np.int64, np.float64)):
+            assert g.dtype == want.dtype == dtype
+            assert g.tobytes() == want.tobytes()
 
     def test_wrong_length_rejected(self):
         buf = BitBuffer()

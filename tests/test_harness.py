@@ -342,7 +342,9 @@ class TestCli:
 
     def test_codec_selftest(self, capsys):
         assert cli_main(["codec-selftest", "--max-d", "4", "--samples", "50"]) == 0
-        assert "ok" in capsys.readouterr().out.lower()
+        out = capsys.readouterr().out
+        assert "ok" in out.lower()
+        assert out.count("messages ok=True") == 4  # framed messages, d = 1..4
 
     def test_xstar_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"

@@ -85,6 +85,33 @@ class TestStochasticQuantizer:
         with pytest.raises(QuantizationRangeError):
             sq.decode(-1)
 
+    def test_nan_raises(self):
+        rng = np.random.default_rng(42)
+        sq = StochasticQuantizer(1, 0.0, 1.0)
+        with pytest.raises(QuantizationRangeError):
+            sq.encode(float("nan"), rng)
+        with pytest.raises(QuantizationRangeError, match="position 1"):
+            sq.encode(np.array([0.5, np.nan, 0.25]), rng)
+
+    @pytest.mark.parametrize("levels, lo, hi", [(1, 0.0, 1.0), (3, -1.0, 2.0)])
+    def test_scalar_matches_array_draw_for_draw(self, levels, lo, hi):
+        """A float takes the scalar branch: same level and rng state as a 1-array."""
+        sq = StochasticQuantizer(levels, lo, hi)
+        data_rng = np.random.default_rng(7)
+        edges = [lo, hi, math.nextafter(hi, lo), lo - 5e-10, hi + 5e-10]
+        xs = [*edges, *(float(x) for x in data_rng.uniform(lo, hi, 20_000)),
+              *data_rng.uniform(lo, hi, 100)]  # np.float64 is a float too
+        for i, x in enumerate(xs):
+            ra, rb = np.random.default_rng(i), np.random.default_rng(i)
+            level = sq.encode(x, ra)
+            assert type(level) is int
+            assert level == int(sq.encode(np.array([x]), rb)[0])
+            assert ra.bit_generator.state == rb.bit_generator.state
+        with pytest.raises(QuantizationRangeError):
+            sq.encode(hi + 1e-8, rng=np.random.default_rng(0))
+        with pytest.raises(QuantizationRangeError):
+            sq.encode(lo - 1e-8, rng=np.random.default_rng(0))
+
     def test_boundary_fp_slack_is_absorbed(self):
         rng = np.random.default_rng(42)
         sq = StochasticQuantizer(2, 0.0, 1.0)
