@@ -30,12 +30,19 @@ from .harness import (
 from .quantizer import QuantizedContext, magnitude_scale
 
 
-def _cmd_run(args) -> int:
+def _load(path):
+    """The config at ``path``, or None after printing each of its problems."""
     try:
-        cfg = load_config(args.config)
+        return load_config(path)
     except ConfigValidationError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
+        return None
+
+
+def _cmd_run(args) -> int:
+    cfg = _load(args.config)
+    if cfg is None:
         return 2
     if args.output_dir:
         cfg.output_dir = args.output_dir
@@ -51,7 +58,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    traces = [RegretTrace.read_csv(p) for p in args.traces]
+    try:
+        traces = [RegretTrace.read_csv(p) for p in args.traces]
+    except ValueError as exc:
+        print(f"trace error: {exc}", file=sys.stderr)
+        return 2
     rows = summarize(traces)
     write_summary_csv(rows, args.output)
     print(f"wrote {args.output} ({len(traces)} trace(s))")
@@ -104,11 +115,8 @@ def _cmd_codec_selftest(args) -> int:
 
 
 def _cmd_xstar(args) -> int:
-    try:
-        cfg = load_config(args.config)
-    except ConfigValidationError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
+    cfg = _load(args.config)
+    if cfg is None:
         return 2
     if cfg.algorithm.kind != "known":
         print("xstar tables apply to the known-dist learner only", file=sys.stderr)

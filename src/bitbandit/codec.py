@@ -142,6 +142,7 @@ class LatticeEnumerator:
             count.append(row)
         self._count = count
         self.size = count[d][self.budget]
+        self.width = (self.size - 1).bit_length()  # rank bits on the wire
 
     def rank(self, vec) -> int:
         """Position of ``vec`` in the lexicographic enumeration."""
@@ -188,14 +189,9 @@ def lattice_enumerator(d: int) -> LatticeEnumerator:
     return LatticeEnumerator(d)
 
 
-@lru_cache(maxsize=None)
-def _rank_width(d: int) -> int:
-    return (q_size(d) - 1).bit_length()
-
-
 def bit_budget(d: int) -> int:
     """Exact per-round uplink cost for the unknown-distribution message."""
-    return 1 + 2 * d + _rank_width(d)
+    return 1 + 2 * d + lattice_enumerator(d).width
 
 
 # --------------------------------------------------------------------------
@@ -245,10 +241,11 @@ def encode_unknown(msg: UnknownMessage) -> BitBuffer:
     d = qc.d
     # sign and square bits as one 2d-bit field; packbits zero-pads to whole bytes
     packed = np.packbits(np.concatenate((qc.signs > 0, qc.sq_errors > 0)))
+    enum = lattice_enumerator(d)
     buf = BitBuffer()
     buf.write(msg.reward_bit, 1)
     buf.write(int.from_bytes(packed.tobytes(), "big") >> (-2 * d % 8), 2 * d)
-    buf.write(lattice_enumerator(d).rank(qc.magnitudes), _rank_width(d))
+    buf.write(enum.rank(qc.magnitudes), enum.width)
     return buf
 
 
@@ -257,20 +254,17 @@ _SIGN_OF_BIT = np.array([-1, 1], dtype=np.int8)
 
 def decode_unknown(buf: BitBuffer, d: int) -> UnknownMessage:
     """Parse an unknown-distribution message for dimension ``d``."""
-    if len(buf) != bit_budget(d):
+    enum = lattice_enumerator(d)
+    if len(buf) != 1 + 2 * d + enum.width:  # the three fields read below
         raise MessageCodecError(
             f"unknown message for d={d} is {bit_budget(d)} bits, buffer has {len(buf)}"
         )
     reward_bit = buf.read(1)
     # the 2d-bit sign and square field as one 0/1 byte per bit (ASCII '0' is 48)
     bits = np.frombuffer(format(buf.read(2 * d), f"0{2 * d}b").encode(), np.uint8) - 48
-    rank = buf.read(_rank_width(d))
+    magnitudes = enum.unrank(buf.read(enum.width))  # raises past the lattice's end
     m = magnitude_scale(d)
     signs = _SIGN_OF_BIT.take(bits[:d])
     sq_errors = np.array([-3.0 / m, 3.0 / m]).take(bits[d:])
-    enum = lattice_enumerator(d)
-    if rank >= enum.size:
-        raise MessageCodecError(f"rank {rank} outside lattice of size {enum.size}")
-    magnitudes = enum.unrank(rank)
     qc = QuantizedContext(signs=signs, magnitudes=magnitudes, sq_errors=sq_errors, m=m)
     return UnknownMessage(reward_bit=reward_bit, context=qc)

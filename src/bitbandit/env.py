@@ -41,7 +41,9 @@ __all__ = [
     "mean_reward",
     "realize_reward",
     "regret_gap",
-    "TRACE_HEADER",
+    "TRACE_FIELDS",
+    "write_table",
+    "read_table",
     "RegretTrace",
     "ExcitationDiagnostic",
     "assumption2_diagnostic",
@@ -62,10 +64,16 @@ class _Law:
     kind = ""
 
     @classmethod
+    def node_shape(cls) -> dict:
+        """The node's keys past ``kind``, each mapped to the layout of its value:
+        ``float`` for a number, ``[s]`` for a list of ``s`` and a dict for a node."""
+        return {f.name: float if f.type == "float" else [float] for f in dataclasses.fields(cls)}
+
+    @classmethod
     def from_node(cls, node: dict):
-        return cls(**{f.name: float(node[f.name]) if f.type == "float"
-                      else tuple(float(v) for v in node[f.name])
-                      for f in dataclasses.fields(cls)})
+        """The law of a node whose values are already laid out as node_shape()."""
+        return cls(**{name: value if isinstance(value, float) else tuple(value)
+                      for name, value in node.items()})
 
     def to_node(self) -> dict:
         node = {"kind": self.kind}
@@ -173,6 +181,10 @@ class CustomDiscrete(_Law):
                 raise ValueError(f"action {a}: probabilities must be a distribution")
             if np.any(np.linalg.norm(sup, axis=1) > 1.0 + _TOL):
                 raise ValueError(f"action {a}: support vector outside the unit ball")
+
+    @classmethod
+    def node_shape(cls) -> dict:
+        return {"actions": [{"support": [[float]], "probs": [float]}]}
 
     @classmethod
     def from_node(cls, node: dict) -> "CustomDiscrete":
@@ -373,7 +385,30 @@ def regret_gap(context_set: np.ndarray, theta_star: np.ndarray, action: int) -> 
     return float(scores.max() - scores[action])
 
 
-TRACE_HEADER = ["t", "inst_regret", "cum_regret", "bits"]
+# trace CSV column -> the type it is read back as, in column order
+TRACE_FIELDS = {"t": int, "inst_regret": float, "cum_regret": float, "bits": int}
+
+
+def write_table(path, fields: dict, rows) -> None:
+    """``rows`` (sequences in column order) under a ``fields`` header; floats go as their repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fields)
+        writer.writerows(rows)
+
+
+def read_table(path, fields: dict) -> list[dict]:
+    """The rows of a write_table CSV as dicts, each cell cast by its column's type;
+    a wrong header, cell count or cell is a ValueError naming the file and line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != list(fields):
+            raise ValueError(f"{path}, line 1: the header is not {','.join(fields)}")
+        try:
+            return [{k: cast(c) for (k, cast), c in zip(fields.items(), cells, strict=True)}
+                    for cells in reader]
+        except ValueError as exc:  # a cast, or zip meeting too few or too many cells
+            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
 
 
 class RegretTrace:
@@ -408,32 +443,22 @@ class RegretTrace:
         return self.cum_regret[t - 1]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_HEADER)
-            for t in range(len(self)):
-                writer.writerow(
-                    [t + 1, repr(self.inst_regret[t]), repr(self.cum_regret[t]), self.bits[t]]
-                )
+        write_table(path, TRACE_FIELDS, zip(range(1, len(self) + 1), self.inst_regret,
+                                            self.cum_regret, self.bits))
 
     @classmethod
     def read_csv(cls, path) -> "RegretTrace":
         trace = cls(seed=-1)
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != TRACE_HEADER:
-                raise ValueError(f"{path}: unexpected trace header {header}")
-            for row in reader:
-                trace.inst_regret.append(float(row[1]))
-                trace.cum_regret.append(float(row[2]))
-                trace.bits.append(int(row[3]))
+        for row in read_table(path, TRACE_FIELDS):
+            trace.inst_regret.append(row["inst_regret"])
+            trace.cum_regret.append(row["cum_regret"])
+            trace.bits.append(row["bits"])
         return trace
 
 
 def regret_step(trace: RegretTrace, context_set: np.ndarray, theta_star: np.ndarray,
-                action: int, bits: int = 0) -> RegretTrace:
-    """Append one round's regret (and uplink bits) to the trace."""
+                action: int, bits: int) -> RegretTrace:
+    """Append one round's regret and uplink bits to the trace."""
     trace.record(regret_gap(context_set, theta_star, action), bits)
     return trace
 
@@ -452,7 +477,7 @@ class ExcitationDiagnostic:
     t0: int
 
 
-def assumption2_diagnostic(played: np.ndarray, t0: int | None = None) -> ExcitationDiagnostic:
+def assumption2_diagnostic(played: np.ndarray, t0: int) -> ExcitationDiagnostic:
     """Profile lambda_min(sum_{i<=t} X_i X_i^T) and the empirical excitation rate.
 
     Reported, never enforced: c ~ 0 flags a context distribution (or policy)
@@ -464,8 +489,6 @@ def assumption2_diagnostic(played: np.ndarray, t0: int | None = None) -> Excitat
     T, d = played.shape
     if T == 0:
         raise ValueError("empty history")
-    if t0 is None:
-        t0 = min(d, T)
     gram = np.zeros((d, d))
     lam = np.empty(T)
     for t in range(T):

@@ -9,7 +9,6 @@ seed produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 import os
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import yaml
 
-from .env import CONTEXT_LAWS, NOISE_LAWS, EnvironmentSpec, RegretTrace
+from .env import CONTEXT_LAWS, NOISE_LAWS, EnvironmentSpec, RegretTrace, read_table, write_table
 from .known import (
     build_action_map,
     exact_xstar_obstacle,
@@ -119,11 +118,38 @@ def _parse_law(node, laws: dict, section: str, problems: list[str]):
     if not isinstance(kind, str) or kind not in laws:
         problems.append(f"{section}.kind must be one of {'/'.join(laws)}, got {kind!r}")
         return None
+    law = laws[kind]
+    values = _read({k: v for k, v in node.items() if k != "kind"}, law.node_shape(),
+                   section, problems)
+    if values is None:
+        return None
     try:
-        return laws[kind].from_node(node)
-    except (KeyError, TypeError, ValueError) as exc:
+        return law.from_node(values)
+    except ValueError as exc:
         problems.append(f"{section}: {exc}")
         return None
+
+
+def _read(value, shape, name: str, problems: list[str]):
+    """``value`` laid out as ``shape`` -- ``float``, ``[s]`` for a list of ``s`` or
+    ``{key: s}`` for a node with just those keys -- with each number read by
+    _coerce, or None after appending a problem for every misfit."""
+    if shape is float:
+        return _coerce(value, float, name, problems)
+    before = len(problems)
+    if isinstance(shape, list):
+        if not isinstance(value, (list, tuple)):
+            problems.append(f"{name} must be a list, got {value!r}")
+            return None
+        out = [_read(v, shape[0], f"{name}[{i}]", problems) for i, v in enumerate(value)]
+    else:
+        if not isinstance(value, dict):
+            problems.append(f"{name} must be a mapping, got {value!r}")
+            return None
+        problems.extend(f"{name}: unknown key {key!r}" for key in value if key not in shape)
+        out = {key: _read(value.get(key), s, f"{name}.{key}", problems)
+               for key, s in shape.items()}
+    return out if len(problems) == before else None
 
 
 def _coerce(value, cast, name: str, problems: list[str], minimum=None):
@@ -178,12 +204,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
         nm = _parse_law(env_node.get("noise_model"), NOISE_LAWS, "noise_model", problems)
         sizes = [_coerce(env_node.get(key), int, f"environment.{key}", problems, 1)
                  for key in ("d", "actions", "horizon")]
-        if cm is not None and nm is not None and None not in sizes:
+        theta_star = _read(env_node.get("theta_star"), [float], "environment.theta_star",
+                           problems)
+        if None not in (cm, nm, theta_star, *sizes):
             try:
                 spec = EnvironmentSpec(
                     d=sizes[0],
                     n_actions=sizes[1],
-                    theta_star=np.asarray(env_node.get("theta_star", []), dtype=float),
+                    theta_star=np.asarray(theta_star, dtype=float),
                     context_model=cm,
                     noise_model=nm,
                     horizon=sizes[2],
@@ -403,19 +431,9 @@ def summarize(traces: list[RegretTrace], checkpoints: list[int] | None = None) -
 
 
 def write_summary_csv(rows: list[dict], path) -> None:
-    """One line per row in SUMMARY_FIELDS order; csv writes each float as its repr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_FIELDS)
-        writer.writerows([row[name] for name in SUMMARY_FIELDS] for row in rows)
+    """One line per row, in SUMMARY_FIELDS order."""
+    write_table(path, SUMMARY_FIELDS, ([row[name] for name in SUMMARY_FIELDS] for row in rows))
 
 
 def read_summary_csv(path) -> list[dict]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != list(SUMMARY_FIELDS):
-            raise ValueError(f"{path}: unexpected summary header {header}")
-        return [{name: cast(value)
-                 for (name, cast), value in zip(SUMMARY_FIELDS.items(), raw, strict=True)}
-                for raw in reader]
+    return read_table(path, SUMMARY_FIELDS)

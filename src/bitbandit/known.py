@@ -36,13 +36,17 @@ __all__ = [
     "theta_net",
     "LinUcb",
     "one_bit_channel",
+    "seed_streams",
     "simulate",
     "run_known",
     "run_naive_baseline",
 ]
 
-_REWARD_BIT = StochasticQuantizer(1, 0.0, 1.0)
+REWARD_BIT = StochasticQuantizer(1, 0.0, 1.0)  # every channel's reward in [0, 1] -> 0 or 1
 _ATOM_LIMIT = 1 << 16  # max support atoms per action for exact xstar (binary: d <= 16)
+# Context sets per Monte-Carlo draw.  A custom law draws per action per chunk, so
+# another size would reorder its draws and change the table.
+_XSTAR_CHUNK = 20_000
 
 
 def greedy_action(context_set: np.ndarray, theta: np.ndarray) -> int:
@@ -127,7 +131,7 @@ def exact_xstar(spec: EnvironmentSpec, theta: np.ndarray) -> np.ndarray | None:
 
 
 def estimate_xstar(spec: EnvironmentSpec, theta: np.ndarray, n_samples: int,
-                   rng: np.random.Generator, chunk: int = 20_000) -> np.ndarray:
+                   rng: np.random.Generator) -> np.ndarray:
     """Monte-Carlo estimate of E[greedy-played context] from n_samples draws."""
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
@@ -135,7 +139,7 @@ def estimate_xstar(spec: EnvironmentSpec, theta: np.ndarray, n_samples: int,
     acc = np.zeros(spec.d)
     left = n_samples
     while left > 0:
-        n = min(left, chunk)
+        n = min(left, _XSTAR_CHUNK)
         ctx = environment.sample_contexts(spec, n, rng)  # (n, K, d)
         picks = np.argmax(ctx @ theta, axis=1)
         acc += ctx[np.arange(n), picks].sum(axis=0)
@@ -290,23 +294,28 @@ class LinUcb:
 
 def one_bit_channel(x: np.ndarray, r: float, quant_rng: np.random.Generator):
     """The reward rounded to one bit, framed to bytes and parsed back; x stays put."""
-    buf = encode_known(KnownMessage(reward_bit=int(_REWARD_BIT.encode(r, quant_rng))))
+    buf = encode_known(KnownMessage(reward_bit=REWARD_BIT.encode(r, quant_rng)))
     msg = decode_known(BitBuffer.from_bytes(buf.to_bytes(), len(buf)))
     return (msg.reward_bit,), len(buf)
 
 
+def seed_streams(seed: int) -> tuple[np.random.Generator, ...]:
+    """Children 0, 1 and 2 of SeedSequence(seed): environment, quantizer and pilot."""
+    return tuple(np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(3))
+
+
 def simulate(spec: EnvironmentSpec, seed: int, broadcast, channel, learn,
-             rounds: int | None = None, rngs=None) -> RegretTrace:
-    """Run the agent/channel/learner loop for ``rounds`` (default spec.horizon) rounds.
+             rngs=None) -> RegretTrace:
+    """Run the agent/channel/learner loop for spec.horizon rounds.
 
     ``broadcast()`` gives a theta, under which the agent plays greedily, or an
     action index, played as is.  ``channel(x, r, quant_rng)`` returns what the
     learner receives and its bits; ``learn(*received)`` feeds it in.  Draws
     come from the seed's streams, or from ``rngs`` (env, quantizer) when given.
     """
-    env_rng, quant_rng = _streams(seed) if rngs is None else rngs
+    env_rng, quant_rng = rngs or seed_streams(seed)[:2]
     trace = RegretTrace(seed, spec.digest())
-    for _ in range(spec.horizon if rounds is None else rounds):
+    for _ in range(spec.horizon):
         order = broadcast()
         ctx = environment.sample_context(spec, env_rng)
         action = order if isinstance(order, int) else greedy_action(ctx, order)
@@ -336,9 +345,3 @@ def run_naive_baseline(spec: EnvironmentSpec, seed: int, lam: float = 1.0) -> Re
     policy = LinUcb(means, lam=lam)
     return simulate(spec, seed, policy.select, one_bit_channel,
                     lambda bit: policy.update(2.0 * bit - 1.0))
-
-
-def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """Environment and quantizer child streams of one simulation seed."""
-    children = np.random.SeedSequence(seed).spawn(2)
-    return np.random.default_rng(children[0]), np.random.default_rng(children[1])

@@ -104,9 +104,10 @@ class StochasticQuantizer:
     def decode(self, level):
         """Map integer levels back to real values on the grid."""
         level = np.asarray(level)
-        if np.any(level < 0) or np.any(level > self.levels):
+        if not (np.issubdtype(level.dtype, np.integer)
+                and np.all((level >= 0) & (level <= self.levels))):
             raise QuantizationRangeError(
-                f"level outside 0..{self.levels}: {level}"
+                f"level outside the integers 0..{self.levels}: {level}"
             )
         out = self.lower + level * self.step
         return out if out.ndim else float(out)

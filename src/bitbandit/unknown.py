@@ -19,14 +19,14 @@ ill-conditioned.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import env as environment
 from .codec import BitBuffer, UnknownMessage, decode_unknown, encode_unknown
 from .env import EnvironmentSpec, RegretTrace
-from .known import _REWARD_BIT, simulate
+from .known import REWARD_BIT, seed_streams, simulate
 from .quantizer import quantize_context, reconstruct_context
 
 __all__ = [
@@ -130,8 +130,7 @@ def lattice_channel(x: np.ndarray, r: float, quant_rng: np.random.Generator):
     The message is bit_budget(d) bits; the decoder rejects any other length.
     """
     qc = quantize_context(x, quant_rng)
-    buf = encode_unknown(UnknownMessage(reward_bit=int(_REWARD_BIT.encode(r, quant_rng)),
-                                        context=qc))
+    buf = encode_unknown(UnknownMessage(reward_bit=REWARD_BIT.encode(r, quant_rng), context=qc))
     msg = decode_unknown(BitBuffer.from_bytes(buf.to_bytes(), len(buf)), x.size)
     return (msg.reward_bit, *reconstruct_context(msg.context)), len(buf)
 
@@ -171,15 +170,15 @@ def run_full_precision(spec: EnvironmentSpec, seed: int,
 
 
 def _pilot_excitation_check(spec: EnvironmentSpec, rounds: int, seed: int) -> None:
-    """Short dry run; warn (never fail) when the Gram matrix barely excites."""
-    pilot_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[2])
+    """Short dry run on the pilot stream; warn (never fail) when the Gram matrix barely excites."""
     played = []
 
     def channel(x, r, quant_rng):
         played.append(x)
         return exact_channel(x, r, quant_rng)
 
-    _run_least_squares(spec, seed, channel, None, rounds=rounds, rngs=(pilot_rng, None))
+    _run_least_squares(replace(spec, horizon=rounds), seed, channel, None,
+                       rngs=(seed_streams(seed)[2], None))
     # Only the later half: a few repeated early plays are no sign of a law
     # that fails to excite, yet they would pin the minimum over all t at 0.
     t0 = max(rounds // 2, spec.d)

@@ -265,6 +265,12 @@ class TestUnknownMessageCodec:
         with pytest.raises(MessageCodecError, match="padding"):
             decode_unknown(BitBuffer.from_bytes(b"\xf1", 5), 1)
 
+    def test_out_of_range_rank_rejected_d1(self):
+        # 0 | 1 | 1 | 11  ->  0b01111000: rank 3, one past the end of |Q_1| = 3
+        assert lattice_enumerator(1).size == 3
+        with pytest.raises(MessageCodecError, match="rank 3"):
+            decode_unknown(BitBuffer.from_bytes(b"\x78", 5), 1)
+
     def test_golden_bytes_d2(self):
         # 0 | 10 | 01 | 0111  ->  0b01001011, 0b10000000; rank((1,2)) = 7
         assert lattice_enumerator(2).rank(np.array([1, 2])) == 7

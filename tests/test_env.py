@@ -237,6 +237,22 @@ class TestRegretTrace:
         np.testing.assert_array_equal(back.cum_regret, trace.cum_regret)
         np.testing.assert_array_equal(back.bits, trace.bits)
 
+    @pytest.mark.parametrize("text, where, detail", [
+        ("t,regret,bits\n1,0.5,5\n", "line 1", "header"),
+        ("t,inst_regret,cum_regret,bits\n1,0.5,0.5,5\n2,0.5,1.0\n", "line 3", "shorter"),
+        ("t,inst_regret,cum_regret,bits\n1,0.5,0.5,5\n2,0.5,1.0,5,7\n", "line 3", "longer"),
+        ("t,inst_regret,cum_regret,bits\n1,0.5,0.5,five\n", "line 2", "'five'"),
+        ("t,inst_regret,cum_regret,bits\n1,half,0.5,5\n", "line 2", "'half'"),
+    ])
+    def test_read_csv_names_the_file_and_line_of_a_problem(self, tmp_path, text, where,
+                                                           detail):
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            RegretTrace.read_csv(path)
+        assert str(exc.value).startswith(f"{path}, {where}: ")
+        assert detail in str(exc.value)
+
     def test_regret_step_uses_best_action_gap(self):
         trace = RegretTrace(seed=0)
         ctx = np.array([[0.9], [0.1]])

@@ -110,6 +110,20 @@ class TestConfigParsing:
         ("seeds", [-1], "seeds"),
         ("algorithm", {"kind": "unknown", "solve_min_rounds": "x"}, "solve_min_rounds"),
         ("environment__horizon", 0, "environment.horizon"),
+        ("environment__context_model", {"kind": "binary_support", "p_minus": [True, False]},
+         "context_model.p_minus"),
+        ("environment__context_model", {"kind": "binary_support", "p_minus": 0.3},
+         "context_model.p_minus must be a list"),
+        ("environment__context_model", {"kind": "custom", "actions": [
+            {"support": [[True]], "probs": [1.0]}, {"support": [[0.5]], "probs": [1.0]},
+        ]}, "must be a number, got True"),
+        ("environment__noise_model", {"kind": "truncated_gaussian", "sigma": True},
+         "noise_model.sigma must be a number, got True"),
+        ("environment__noise_model", {"kind": "truncated_gaussian", "sigma": "x"},
+         "noise_model.sigma must be a number, got 'x'"),
+        ("environment__noise_model", {"kind": "truncated_gaussian"}, "noise_model.sigma"),
+        ("environment__theta_star", [True], "environment.theta_star"),
+        ("environment__theta_star", ["abc"], "environment.theta_star"),
     ])
     def test_mistyped_value_is_a_config_error(self, key, value, fragment, tmp_path, capsys):
         raw = make_config(**{key: value})
@@ -149,6 +163,15 @@ class TestConfigParsing:
          "sigma"),
         ({"environment__noise_model": {"kind": "truncated_gaussian", "sigma": float("inf")}},
          "sigma"),
+        ({"environment__noise_model": {"kind": "bernoulli", "sigma": 0.3}},
+         "noise_model: unknown key 'sigma'"),
+        ({"environment__context_model": {"kind": "binary_support", "p_minus": [0.2, 0.4],
+                                         "scales": [1.0, 1.0]}},
+         "context_model: unknown key 'scales'"),
+        ({"environment__context_model": {"kind": "custom", "actions": [
+            {"support": [[0.5]], "probs": [1.0]},
+            {"support": [[0.5]], "probs": [1.0], "weight": 2.0},
+        ]}}, "unknown key 'weight'"),
     ])
     def test_unusable_xstar_grid_or_law_is_a_config_error(self, overrides, fragment,
                                                           tmp_path, capsys):
@@ -353,6 +376,24 @@ class TestCli:
         assert cli_main(["xstar", str(cfg_path)]) == 0
         out = capsys.readouterr().out
         assert "exact-enumeration" in out
+
+    @pytest.mark.parametrize("case, fragment", [
+        ("truncated", "line 61: zip() argument 2 is shorter"),
+        ("extra cell", "line 2: zip() argument 2 is longer"),
+    ])
+    def test_summarize_rejects_a_malformed_trace(self, tmp_path, capsys, case, fragment):
+        result = run_experiment(parse_config(make_config()), base_dir=tmp_path)
+        with open(result.trace_paths[0]) as fh:
+            header, first, rest = fh.read().split("\n", 2)
+        bad = tmp_path / "bad.csv"
+        if case == "truncated":  # the file ends inside the last row's bits cell
+            bad.write_text(f"{header}\n{first}\n{rest[:rest.rindex(',')]}")
+        else:
+            bad.write_text(f"{header}\n{first},0\n{rest}")
+        code = cli_main(["summarize", result.trace_paths[1], str(bad),
+                         "-o", str(tmp_path / "resummary.csv")])
+        assert code == 2
+        assert f"{bad}, {fragment}" in capsys.readouterr().err
 
     def test_summarize_subcommand(self, tmp_path, capsys):
         cfg = parse_config(make_config())

@@ -85,6 +85,11 @@ class TestStochasticQuantizer:
         with pytest.raises(QuantizationRangeError):
             sq.decode(-1)
 
+    @pytest.mark.parametrize("level", [0.5, float("nan"), np.array([1.7]), 1.0, True])
+    def test_decode_rejects_non_integer_levels(self, level):
+        with pytest.raises(QuantizationRangeError):
+            StochasticQuantizer(2, 0.0, 1.0).decode(level)
+
     def test_nan_raises(self):
         rng = np.random.default_rng(42)
         sq = StochasticQuantizer(1, 0.0, 1.0)
