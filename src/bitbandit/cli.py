@@ -60,10 +60,10 @@ def _cmd_run(args) -> int:
 def _cmd_summarize(args) -> int:
     try:
         traces = [RegretTrace.read_csv(p) for p in args.traces]
-    except ValueError as exc:
+        rows = summarize(traces)
+    except (OSError, ValueError) as exc:  # a missing, malformed, empty or unequal trace
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
-    rows = summarize(traces)
     write_summary_csv(rows, args.output)
     print(f"wrote {args.output} ({len(traces)} trace(s))")
     return 0

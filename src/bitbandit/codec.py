@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quantizer import QuantizedContext, magnitude_scale
+from .quantizer import QuantizedContext, context_grid, magnitude_scale
 
 __all__ = [
     "MessageCodecError",
@@ -149,7 +149,7 @@ class LatticeEnumerator:
         vec = np.asarray(vec)
         if vec.shape != (self.d,):
             raise ValueError(f"expected shape ({self.d},), got {vec.shape}")
-        if not np.issubdtype(vec.dtype, np.integer):
+        if vec.dtype.kind not in "iu":  # signed or unsigned integers
             raise ValueError(f"lattice vectors are integer, got dtype {vec.dtype}")
         vals = vec.tolist()
         if min(vals) < 0:
@@ -240,16 +240,13 @@ def encode_unknown(msg: UnknownMessage) -> BitBuffer:
     qc = msg.context
     d = qc.d
     # sign and square bits as one 2d-bit field; packbits zero-pads to whole bytes
-    packed = np.packbits(np.concatenate((qc.signs > 0, qc.sq_errors > 0)))
+    packed = np.packbits(np.concatenate((qc.signs, qc.sq_errors)) > 0.0)
     enum = lattice_enumerator(d)
     buf = BitBuffer()
     buf.write(msg.reward_bit, 1)
     buf.write(int.from_bytes(packed.tobytes(), "big") >> (-2 * d % 8), 2 * d)
     buf.write(enum.rank(qc.magnitudes), enum.width)
     return buf
-
-
-_SIGN_OF_BIT = np.array([-1, 1], dtype=np.int8)
 
 
 def decode_unknown(buf: BitBuffer, d: int) -> UnknownMessage:
@@ -260,11 +257,13 @@ def decode_unknown(buf: BitBuffer, d: int) -> UnknownMessage:
             f"unknown message for d={d} is {bit_budget(d)} bits, buffer has {len(buf)}"
         )
     reward_bit = buf.read(1)
-    # the 2d-bit sign and square field as one 0/1 byte per bit (ASCII '0' is 48)
-    bits = np.frombuffer(format(buf.read(2 * d), f"0{2 * d}b").encode(), np.uint8) - 48
+    # the 2d-bit sign and square field, left-aligned in whole bytes as packbits
+    # left it, then one 0/1 byte per bit
+    field = buf.read(2 * d) << (-2 * d % 8)
+    bits = np.unpackbits(np.frombuffer(field.to_bytes((2 * d + 7) // 8, "big"), np.uint8))
     magnitudes = enum.unrank(buf.read(enum.width))  # raises past the lattice's end
     m = magnitude_scale(d)
-    signs = _SIGN_OF_BIT.take(bits[:d])
-    sq_errors = np.array([-3.0 / m, 3.0 / m]).take(bits[d:])
-    qc = QuantizedContext(signs=signs, magnitudes=magnitudes, sq_errors=sq_errors, m=m)
+    grid = context_grid(m)
+    qc = QuantizedContext(signs=grid.signs.take(bits[:d]), magnitudes=magnitudes,
+                          sq_errors=grid.squares.take(bits[d:2 * d]), m=m)
     return UnknownMessage(reward_bit=reward_bit, context=qc)

@@ -101,15 +101,17 @@ class GaussianProjected(_Law):
         if not all(0.0 <= c < math.inf for c in self.scales):
             raise ValueError(f"covariance scales must be finite and nonnegative, "
                              f"got {list(self.scales)}")
+        # per-action standard deviations, shaped to scale an (n, K, d) draw
+        object.__setattr__(self, "_stds", np.sqrt(np.asarray(self.scales))[None, :, None])
 
     def check(self, d: int, n_actions: int) -> list[str]:
         return [] if len(self.scales) == n_actions else ["one Gaussian scale per action required"]
 
     def sample(self, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
         out = rng.standard_normal((n, len(self.scales), d))
-        out *= np.sqrt(np.asarray(self.scales))[None, :, None]
-        norms = np.linalg.norm(out, axis=2, keepdims=True)
-        np.divide(out, norms, out=out, where=norms > 1.0)
+        out *= self._stds
+        norms = np.sqrt(np.add.reduce(out * out, axis=2, keepdims=True))  # as np.linalg.norm
+        out /= np.maximum(norms, 1.0)  # x / 1.0 is x: only norms over 1 rescale
         return out
 
     def mean(self, action: int, d: int) -> np.ndarray:
@@ -340,7 +342,8 @@ def _hash_into(h, value) -> None:
 def sample_contexts(spec: EnvironmentSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` i.i.d. context sets, shape (n, n_actions, d), norms <= 1."""
     out = spec.context_model.sample(n, spec.d, rng)
-    if np.any(np.linalg.norm(out, axis=2) > 1.0 + _TOL):
+    # sqrt is monotone, so this is the largest norm; NaN fails the test too
+    if not math.sqrt(np.add.reduce(out * out, axis=2).max(initial=0.0)) <= 1.0 + _TOL:
         raise AssumptionViolation("sampled context outside the unit ball")
     return out
 

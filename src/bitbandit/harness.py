@@ -401,10 +401,10 @@ def summarize(traces: list[RegretTrace], checkpoints: list[int] | None = None) -
     if not traces:
         raise ValueError("no traces to summarize")
     T = len(traces[0])
-    for tr in traces:
+    for i, tr in enumerate(traces, 1):
         if len(tr) != T:
             raise ValueError(
-                f"trace length mismatch: expected {T} rounds, got {len(tr)}"
+                f"trace length mismatch: trace {i} has {len(tr)} rounds, trace 1 has {T}"
             )
     if checkpoints is None:
         checkpoints = default_checkpoints(T)

@@ -51,7 +51,7 @@ _XSTAR_CHUNK = 20_000
 
 def greedy_action(context_set: np.ndarray, theta: np.ndarray) -> int:
     """Index of the action maximizing <X_a, theta>; lowest index on ties."""
-    return int(np.argmax(context_set @ theta))
+    return int((context_set @ theta).argmax())
 
 
 # --------------------------------------------------------------------------

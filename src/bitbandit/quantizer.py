@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +32,8 @@ __all__ = [
     "StochasticQuantizer",
     "QuantizedContext",
     "magnitude_scale",
+    "ContextGrid",
+    "context_grid",
     "quantize_context",
     "reconstruct_context",
 ]
@@ -88,18 +92,8 @@ class StochasticQuantizer:
                 f"input {x.flat[bad]} at position {bad} outside [{lo}, {hi}]"
             )
         scaled = np.clip((x - lo) * (self.levels / (hi - lo)), 0.0, self.levels)
-        level = np.minimum(self._round(scaled, rng), self.levels)
+        level = np.minimum(_round(scaled, rng.random(scaled.shape)), self.levels)
         return level if level.ndim else int(level)
-
-    @staticmethod
-    def _round(scaled: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Randomly round grid coordinates in [0, levels] to int64 levels.
-
-        Draws one uniform per entry; rounds up with probability equal to
-        the fractional part.
-        """
-        base = np.floor(scaled)
-        return base.astype(np.int64) + (rng.random(scaled.shape) < scaled - base)
 
     def decode(self, level):
         """Map integer levels back to real values on the grid."""
@@ -117,11 +111,41 @@ class StochasticQuantizer:
         return self.decode(self.encode(x, rng))
 
 
+def _round(scaled: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Randomly round grid coordinates in [0, levels] to int64 levels: up with
+    probability equal to the fractional part, by one uniform per entry."""
+    frac, base = np.modf(scaled)  # scaled >= 0: base is its floor, frac exactly the rest
+    return base.astype(np.int64) + (uniforms < frac)
+
+
 def magnitude_scale(d: int) -> int:
     """Magnitude grid resolution used for d-dimensional contexts: ceil(sqrt(d))."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     return math.isqrt(d - 1) + 1
+
+
+class ContextGrid(NamedTuple):
+    """The constants of magnitude resolution m: what a sign bit and a square bit
+    stand for, indexed by the bit, then m, 3/m and 1 / (6/m) as 0-d float64
+    arrays, which NumPy combines with an array faster than a Python float."""
+
+    signs: np.ndarray      # (-1, +1) as int8
+    squares: np.ndarray    # (-3/m, +3/m)
+    m: np.ndarray
+    bound: np.ndarray      # the square-error range
+    inv_width: np.ndarray  # 1 / (2 * bound)
+
+
+@lru_cache(maxsize=None)
+def context_grid(m: int) -> ContextGrid:
+    """The ContextGrid of resolution m, built once per m; its arrays are read-only."""
+    bound = 3.0 / m
+    grid = ContextGrid(np.array([-1, 1], dtype=np.int8), np.array([-bound, bound]),
+                       np.array(float(m)), np.array(bound), np.array(1 / (2 * bound)))
+    for table in grid:
+        table.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)
@@ -155,7 +179,7 @@ def _enforce_l1_budget(levels: np.ndarray, scaled: np.ndarray, budget: int) -> n
     all-floor vector always satisfies the budget, so this terminates.
     Demotion order: smallest fractional part first (lowest index on ties).
     """
-    excess = int(levels.sum()) - budget
+    excess = sum(levels.tolist()) - budget
     if excess <= 0:
         return levels
     floors = np.floor(scaled).astype(np.int64)
@@ -177,7 +201,8 @@ def quantize_context(x, rng: np.random.Generator) -> QuantizedContext:
     Two stochastic roundings, with d uniform draws each: m*|x| onto the
     levels 0..m, then the square error x^2 - xhat^2 onto the two points
     -3/m and +3/m.  Both equal ``StochasticQuantizer`` on those grids, done
-    in place on grid coordinates without its per-call setup and checks.
+    in place on grid coordinates without its per-call setup and checks, and
+    both take their 2d uniforms from one draw, which yields the same numbers.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -187,26 +212,28 @@ def quantize_context(x, rng: np.random.Generator) -> QuantizedContext:
     if not norm <= 1.0 + _BOUNDARY_TOL:  # NaN fails too
         raise AssumptionViolation(f"context norm {norm} exceeds 1")
     m = magnitude_scale(d)
+    grid = context_grid(m)
+    uniforms = rng.random(2 * d)
 
-    signs = np.where(x < 0, np.int8(-1), np.int8(1))
-    scaled = np.minimum(m * np.abs(x), float(m))
-    magnitudes = _enforce_l1_budget(StochasticQuantizer._round(scaled, rng), scaled, 2 * d)
+    signs = grid.signs.take(x >= 0.0)
+    scaled = np.minimum(grid.m * np.abs(x), grid.m)
+    magnitudes = _enforce_l1_budget(_round(scaled, uniforms[:d]), scaled, 2 * d)
 
-    xhat = signs * magnitudes / m
-    err = x * x - xhat * xhat
-    bound = 3.0 / m
-    if np.abs(err).max() > bound + _BOUNDARY_TOL:
-        bad = int(np.argmax(np.abs(err)))
+    xhat_abs = magnitudes / grid.m  # |xhat|, whose square is xhat^2 bit for bit
+    err = x * x - xhat_abs * xhat_abs
+    bound = float(grid.bound)
+    abs_err = np.abs(err)
+    if max(abs_err.tolist()) > bound + _BOUNDARY_TOL:
+        bad = int(np.argmax(abs_err))
         raise QuantizationRangeError(
             f"input {err[bad]} at position {bad} outside [{-bound}, {bound}]"
         )
-    up = rng.random(d) < (err + bound) * (1 / (2 * bound))
-    sq_errors = np.where(up, bound, -bound)
+    sq_errors = grid.squares.take(uniforms[d:] < (err + grid.bound) * grid.inv_width)
     return QuantizedContext(signs=signs, magnitudes=magnitudes, sq_errors=sq_errors, m=m)
 
 
 def reconstruct_context(qc: QuantizedContext) -> tuple[np.ndarray, np.ndarray]:
     """Unbiased estimates (xhat, xsq_hat) of the context and its elementwise square."""
-    xhat = qc.signs * qc.magnitudes / qc.m
+    xhat = qc.signs * qc.magnitudes / context_grid(qc.m).m
     xsq_hat = xhat * xhat + qc.sq_errors
     return xhat, xsq_hat

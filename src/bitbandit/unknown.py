@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,8 +98,8 @@ def apply_update(state: UnknownLearnerState, reward_bit: float, xhat: np.ndarray
     nearly singular systems, such as those of early rounds, still get the
     minimum-norm least-squares solution.
     """
-    outer = np.outer(xhat, xhat)
-    np.fill_diagonal(outer, xsq_hat)
+    outer = xhat[:, None] * xhat  # np.outer's own product
+    outer.reshape(-1)[::xhat.size + 1] = xsq_hat  # the diagonal, as np.fill_diagonal writes it
     state.v_tilde += outer
     state.u += (2.0 * reward_bit - 1.0) * xhat
     state.t += 1
@@ -111,14 +112,26 @@ def apply_update(state: UnknownLearnerState, reward_bit: float, xhat: np.ndarray
     return state
 
 
+@lru_cache(maxsize=None)
+def _probe(d: int) -> tuple[np.ndarray, float]:
+    """The condition probe p = sin(1..d) and its l1 norm."""
+    probe = np.sin(np.arange(1.0, d + 1))
+    probe.flags.writeable = False
+    return probe, np.abs(probe).sum()
+
+
 def _lu_solve(v: np.ndarray, u: np.ndarray) -> np.ndarray | None:
     """V^-1 u by LU, or None where LU cannot be trusted to match pinv."""
-    probe = np.sin(np.arange(1.0, u.size + 1))
+    probe, probe_l1 = _probe(u.size)
+    rhs = np.empty((u.size, 2))
+    rhs[:, 0] = u
+    rhs[:, 1] = probe
     try:
-        sol = np.linalg.solve(v, np.column_stack((u, probe)))
+        sol = np.linalg.solve(v, rhs)
     except np.linalg.LinAlgError:
         return None
-    cond = np.linalg.norm(v, 1) * np.abs(sol[:, 1]).sum() / np.abs(probe).sum()
+    v_l1 = np.add.reduce(np.abs(v), axis=0).max()  # ||V||_1, as np.linalg.norm(v, 1)
+    cond = v_l1 * np.add.reduce(np.abs(sol[:, 1])) / probe_l1
     if not (np.isfinite(sol).all() and cond <= _COND_LIMIT):
         return None
     return sol[:, 0]

@@ -288,7 +288,7 @@ def test_08_ls_oracle_equivalence():
 
 def test_09_misspecification_trend(tmp_path):
     t0 = time.perf_counter()
-    means = []
+    means, cis = [], []
     for tag in ("e00", "e01", "e02"):
         res = run_experiment(
             load_config(CONFIG_DIR / f"example1_misspec_{tag}.yaml"),
@@ -296,13 +296,18 @@ def test_09_misspecification_trend(tmp_path):
         )
         final = {row["t"]: row for row in res.summary_rows}[10_000]
         means.append(final["mean_cum_regret"])
+        cis.append((final["ci95_lo"], final["ci95_hi"]))
     ok = means[0] <= means[1] <= means[2]
     elapsed = time.perf_counter() - t0
+    # reported, not gated: whether each step of the trend is within seed noise
+    overlap = ["overlap" if lo_b <= hi_a and lo_a <= hi_b else "apart"
+               for (lo_a, hi_a), (lo_b, hi_b) in zip(cis, cis[1:])]
     _report(
         "criterion-09 misspec-trend",
         ok and elapsed < 120.0,
-        f"mean R_T across eps=0,0.1,0.2 (20 seeds each): "
-        f"{means[0]:.1f} <= {means[1]:.1f} <= {means[2]:.1f}, "
+        f"mean R_T [95% CI] across eps=0,0.1,0.2 (20 seeds each): "
+        + " <= ".join(f"{m:.1f} [{lo:.1f}, {hi:.1f}]" for m, (lo, hi) in zip(means, cis))
+        + f"; neighbouring CIs: 0-0.1 {overlap[0]}, 0.1-0.2 {overlap[1]}, "
         f"{elapsed:.0f}s (< 120s)",
     )
 

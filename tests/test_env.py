@@ -136,6 +136,28 @@ class TestContextModels:
         assert rows <= {tuple(r) for r in support}
         np.testing.assert_allclose(context_mean(spec, 0), probs @ support)
 
+    @pytest.mark.parametrize("vec", [
+        [(1.0 + 1e-6) / math.sqrt(2), (1.0 + 1e-6) / math.sqrt(2)],  # norm 1 + 1e-6
+        [math.nan, 0.0],
+    ])
+    def test_sample_rejects_a_context_outside_the_unit_ball(self, vec):
+        class FixedLaw:
+            """A stand-in law that draws nothing and returns ``vec`` for every action."""
+
+            def check(self, d, n_actions):
+                return []
+
+            def sample(self, n, d, rng):
+                return np.tile(np.array(vec), (n, 2, 1))
+
+        spec = EnvironmentSpec(d=2, n_actions=2, theta_star=np.array([0.5, 0.5]),
+                               context_model=FixedLaw(), noise_model=Bernoulli(),
+                               horizon=10)
+        with pytest.raises(AssumptionViolation, match="outside the unit ball"):
+            sample_contexts(spec, 3, np.random.default_rng(0))
+        vec = [1.0, 0.0]  # on the sphere is inside
+        assert sample_context(spec, np.random.default_rng(0)).tolist() == [vec, vec]
+
     def test_custom_discrete_validation(self):
         with pytest.raises(ValueError):
             CustomDiscrete(

@@ -1,6 +1,7 @@
 """Tests for config parsing, the experiment runner, summaries, and the CLI."""
 
 import copy
+import hashlib
 
 import numpy as np
 import pytest
@@ -303,6 +304,28 @@ def test_rng_stream_layout_is_pinned(kind, tmp_path):
     assert trace.bits == [bits] * 300
 
 
+# sha256 of each _PIN_CASES trace CSV.  The figures above compare at rel 1e-9;
+# these bytes move with any change of the last bit of any row, so a rewrite of
+# the per-round arithmetic must reproduce them exactly.
+_PIN_SHA256 = {
+    "full_precision": "af87cd308a58c6f096cd5a1c783c5b59e2a39658b26824f277dbe90de570c3db",
+    "known": "fd466a2701fdbe46a20868964c15b25f6eb29c70ab16427899f3efd180611670",
+    "known_custom": "90eadba297aaf098d67689f9ecbe262c68814b98451dc94cd12ccf566c80d011",
+    "naive_mean": "9bb84c067bd859a18bed1132b43410599bb2f4a5ed114ea5bd09c2eafeb2779c",
+    "unknown": "fa2244f5c803fffb6f557108250941e1343ad38b0b0e09175ecfe7fed6bf799a",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PIN_CASES))
+def test_pinned_trace_bytes(kind, tmp_path):
+    env, algo, _, _ = _PIN_CASES[kind]
+    raw = {"schema": 1, "environment": copy.deepcopy(env), "algorithm": algo,
+           "seeds": [17], "output_dir": "pin"}
+    path = run_experiment(parse_config(raw), base_dir=tmp_path).trace_paths[0]
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == _PIN_SHA256[kind]
+
+
 class TestSummaries:
     @staticmethod
     def _trace(vals, bits):
@@ -394,6 +417,30 @@ class TestCli:
                          "-o", str(tmp_path / "resummary.csv")])
         assert code == 2
         assert f"{bad}, {fragment}" in capsys.readouterr().err
+
+    def test_summarize_rejects_a_header_only_trace(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        RegretTrace(seed=0).write_csv(empty)
+        code = cli_main(["summarize", str(empty), "-o", str(tmp_path / "resummary.csv")])
+        assert code == 2
+        assert "need at least one round to summarize" in capsys.readouterr().err
+
+    def test_summarize_rejects_traces_of_different_lengths(self, tmp_path, capsys):
+        long = run_experiment(parse_config(make_config()), base_dir=tmp_path / "long")
+        short = run_experiment(parse_config(make_config(environment__horizon=2)),
+                               base_dir=tmp_path / "short")
+        code = cli_main(["summarize", long.trace_paths[0], short.trace_paths[0],
+                         "-o", str(tmp_path / "resummary.csv")])
+        assert code == 2
+        assert "trace length mismatch: trace 2 has 2 rounds, trace 1 has 60" in \
+            capsys.readouterr().err
+
+    def test_summarize_rejects_a_missing_trace(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        code = cli_main(["summarize", str(missing), "-o", str(tmp_path / "resummary.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "No such file or directory" in err and str(missing) in err
 
     def test_summarize_subcommand(self, tmp_path, capsys):
         cfg = parse_config(make_config())
