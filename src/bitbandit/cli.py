@@ -15,6 +15,7 @@ import random
 import sys
 
 import numpy as np
+import yaml
 
 from .codec import (BitBuffer, UnknownMessage, bit_budget, decode_unknown, encode_unknown,
                     lattice_enumerator, q_size)
@@ -35,9 +36,12 @@ def _load(path):
     try:
         return load_config(path)
     except ConfigValidationError as exc:
-        for problem in exc.problems:
-            print(f"config error: {problem}", file=sys.stderr)
-        return None
+        problems = exc.problems
+    except (OSError, yaml.YAMLError) as exc:  # a missing or unreadable file, or bad YAML
+        problems = [str(exc)]
+    for problem in problems:
+        print(f"config error: {problem}", file=sys.stderr)
+    return None
 
 
 def _cmd_run(args) -> int:

@@ -10,9 +10,9 @@ seed produce byte-identical files.
 from __future__ import annotations
 
 import math
-import numbers
 import os
-from dataclasses import dataclass, field, fields
+from collections.abc import Callable
+from dataclasses import Field, dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -49,8 +49,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-ALGORITHM_KINDS = ("known", "naive_mean", "unknown", "full_precision")
-
 # summary.csv column -> the type it is read back as, in column order
 SUMMARY_FIELDS = {
     "t": int,
@@ -71,31 +69,73 @@ class ConfigValidationError(ValueError):
         super().__init__("invalid config:\n" + "\n".join(f"  - {p}" for p in problems))
 
 
-def _numeric(default, minimum):
-    """A numeric AlgorithmConfig field: its default and its smallest valid value."""
-    return field(default=default, metadata={"min": minimum})
+# --------------------------------------------------------------------------
+# parsing / validation
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Leaf:
+    """A scalar: a value of type ``cast`` (int, float or str) for which ``ok``
+    holds; ``rule`` completes the problem "<key> must be <rule>"."""
+
+    cast: type
+    ok: Callable[[object], bool]
+    rule: str
+
+
+def _at_least(cast: type, low) -> _Leaf:
+    return _Leaf(cast, lambda v: v >= low, f">= {low}")
+
+
+class _Kinds(dict):
+    """A node whose ``kind`` picks the layout of its other keys: kind -> layout."""
+
+
+def _key(default, layout, *kinds: str):
+    """An ``algorithm`` key: its default, its value's layout and the kinds that read it."""
+    return field(default=default, metadata={"layout": layout, "kinds": kinds})
 
 
 @dataclass
 class AlgorithmConfig:
-    """The config's ``algorithm`` section, one field per key; parsing coerces the
-    int and float fields (_CASTS) and bounds them below by ``metadata["min"]``."""
+    """The config's ``algorithm`` section: its ``kind`` and one field per key.
+    A key its kind does not read is rejected; one left out or null is its default."""
 
     kind: str
-    theta_grid: list | None = None        # explicit grid for the known-dist learner
-    net_points: int | None = _numeric(None, 1)  # or: deterministic net of this many points
-    xstar_method: str = "auto"            # auto | exact | monte-carlo
-    xstar_samples: int = _numeric(100_000, 1)
-    xstar_seed: int = _numeric(0, 0)
-    misspec_epsilon: float = _numeric(0.0, 0.0)
-    misspec_seed: int = _numeric(0, 0)
-    ridge: float = 1.0                    # must be positive, checked on parsing
-    solve_min_rounds: int | None = _numeric(None, 0)  # unknown-dist: first solving round
-    pilot_rounds: int = _numeric(0, 0)    # unknown-dist: excitation dry-run length
+    theta_grid: list | None = _key(None, [[float]], "known")  # explicit known-dist grid
+    net_points: int | None = _key(None, _at_least(int, 1), "known")  # or a net of this many
+    xstar_method: str = _key("auto", _Leaf(str, ("auto", "exact", "monte-carlo").__contains__,
+                                            "one of auto/exact/monte-carlo"), "known")
+    xstar_samples: int = _key(100_000, _at_least(int, 1), "known")
+    xstar_seed: int = _key(0, _at_least(int, 0), "known")
+    misspec_epsilon: float = _key(0.0, _at_least(float, 0.0), "known")
+    misspec_seed: int = _key(0, _at_least(int, 0), "known")
+    ridge: float = _key(1.0, _Leaf(float, lambda v: v > 0, "> 0"), "known", "naive_mean")
+    solve_min_rounds: int | None = _key(None, _at_least(int, 0), "unknown", "full_precision")
+    pilot_rounds: int = _key(0, _at_least(int, 0), "unknown")  # excitation dry-run length
 
 
-# Annotation (a string, under postponed evaluation) -> type a config value is coerced to.
-_CASTS = {"int": int, "int | None": int, "float": float}
+def _algorithm_layout(kind: str) -> tuple:
+    """The keys an ``algorithm`` node of ``kind`` may set, and the config they build."""
+    return ({f.name: f for f in fields(AlgorithmConfig) if kind in f.metadata.get("kinds", ())},
+            lambda values: AlgorithmConfig(kind, **values))
+
+
+_LAYOUT = {  # each top-level key of a config file and the layout _read reads it as
+    "schema": _Leaf(int, lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION)),
+    "environment": ({
+        "d": _at_least(int, 1), "actions": _at_least(int, 1), "horizon": _at_least(int, 1),
+        "theta_star": [float],
+        "context_model": _Kinds({kind: (law.node_shape(), law.from_node)
+                                 for kind, law in CONTEXT_LAWS.items()}),
+        "noise_model": _Kinds({kind: (law.node_shape(), law.from_node)
+                               for kind, law in NOISE_LAWS.items()}),
+    }, lambda env: EnvironmentSpec(n_actions=env.pop("actions"), **env)),
+    "algorithm": _Kinds({kind: _algorithm_layout(kind)
+                         for kind in ("known", "naive_mean", "unknown", "full_precision")}),
+    "seeds": [_at_least(int, 0)],
+    "output_dir": _Leaf(str, bool, "a non-empty string"),
+}
 
 
 @dataclass
@@ -107,186 +147,113 @@ class ExperimentConfig:
     output_dir: str
 
 
-# --------------------------------------------------------------------------
-# parsing / validation
-# --------------------------------------------------------------------------
-
-def _parse_law(node, laws: dict, section: str, problems: list[str]):
-    """The law of config node ``environment.<section>``, built by the class its
-    ``kind`` names in ``laws``, or None after appending a problem."""
-    kind = node.get("kind") if isinstance(node, dict) else None
-    if not isinstance(kind, str) or kind not in laws:
-        problems.append(f"{section}.kind must be one of {'/'.join(laws)}, got {kind!r}")
-        return None
-    law = laws[kind]
-    values = _read({k: v for k, v in node.items() if k != "kind"}, law.node_shape(),
-                   section, problems)
-    if values is None:
-        return None
-    try:
-        return law.from_node(values)
-    except ValueError as exc:
-        problems.append(f"{section}: {exc}")
-        return None
-
-
-def _read(value, shape, name: str, problems: list[str]):
-    """``value`` laid out as ``shape`` -- ``float``, ``[s]`` for a list of ``s`` or
-    ``{key: s}`` for a node with just those keys -- with each number read by
-    _coerce, or None after appending a problem for every misfit."""
+def _read(value, shape, name: str, problems: list[str], where: str = ""):
+    """``value`` laid out as ``shape``, or None after appending a problem for
+    every misfit.  A shape is ``float`` (a finite number), a _Leaf, ``[s]`` (a
+    non-empty list of ``s``), ``{key: s}`` (a mapping with just those keys;
+    ``where`` ends the problem naming any other), a _Kinds or ``(s, build)``:
+    ``build`` of what ``s`` read, with a ValueError it raises a problem.  An
+    ``s`` that is a dataclass field reads a left-out or null value as its default."""
+    if isinstance(shape, Field):
+        if value is None:
+            return shape.default
+        shape = shape.metadata["layout"]
     if shape is float:
         return _coerce(value, float, name, problems)
+    if isinstance(shape, _Leaf):
+        out = _coerce(value, shape.cast, name, problems)
+        if out is None or shape.ok(out):
+            return out
+        problems.append(f"{name} must be {shape.rule}, got {value!r}")
+        return None
+    if isinstance(shape, _Kinds):
+        kind = value.get("kind") if isinstance(value, dict) else None
+        if not isinstance(kind, str) or kind not in shape:
+            problems.append(f"{name}.kind must be one of {'/'.join(shape)}, got {kind!r}")
+            return None
+        return _read({k: v for k, v in value.items() if k != "kind"}, shape[kind], name,
+                     problems, f" for kind {kind!r}")
+    if isinstance(shape, tuple):
+        values = _read(value, shape[0], name, problems, where)
+        try:
+            return None if values is None else shape[1](values)
+        except ValueError as exc:
+            problems.append(f"{name}: {exc}")
+            return None
     before = len(problems)
     if isinstance(shape, list):
-        if not isinstance(value, (list, tuple)):
-            problems.append(f"{name} must be a list, got {value!r}")
+        if not isinstance(value, (list, tuple)) or not value:
+            problems.append(f"{name} must be a {'non-empty ' if value == [] else ''}list, "
+                            f"got {value!r}")
             return None
         out = [_read(v, shape[0], f"{name}[{i}]", problems) for i, v in enumerate(value)]
     else:
         if not isinstance(value, dict):
             problems.append(f"{name} must be a mapping, got {value!r}")
             return None
-        problems.extend(f"{name}: unknown key {key!r}" for key in value if key not in shape)
+        problems.extend(f"{name}: unknown key {key!r}{where}" for key in value if key not in shape)
         out = {key: _read(value.get(key), s, f"{name}.{key}", problems)
                for key, s in shape.items()}
     return out if len(problems) == before else None
 
 
-def _coerce(value, cast, name: str, problems: list[str], minimum=None):
-    """``value`` as an int or a finite float, or None after appending a problem."""
-    try:  # booleans, non-integral floats and non-finite numbers are rejected
-        out = None if isinstance(value, bool) else cast(value)
+def _coerce(value, cast, name: str, problems: list[str]):
+    """``value`` as an int, a finite float or a str, or None after appending a problem."""
+    try:  # booleans, strings as numbers, non-integral floats and non-finite numbers fail
+        out = (None if isinstance(value, bool) or isinstance(value, str) != (cast is str)
+               else cast(value))
         if (cast is float and not math.isfinite(out)
                 or isinstance(value, float) and out != value):
             out = None
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None:
-        problems.append(f"{name} must be {'an integer' if cast is int else 'a number'}, "
-                        f"got {value!r}")
-        return None
-    if minimum is not None and out < minimum:
-        problems.append(f"{name} must be >= {minimum}, got {value!r}")
-        return None
+        what = {int: "an integer", float: "a number", str: "a string"}[cast]
+        problems.append(f"{name} must be {what}, got {value!r}")
     return out
 
 
-def _check_theta_grid(grid, d: int | None, problems: list[str]) -> None:
-    """Append a problem unless ``grid`` is a list of length-d rows of finite numbers."""
-    if not isinstance(grid, (list, tuple)) or not all(isinstance(r, (list, tuple)) for r in grid):
-        problems.append(f"algorithm.theta_grid must be a list of rows, got {grid!r}")
-        return
-    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-               for row in grid for v in row):
-        problems.append("algorithm.theta_grid entries must be finite numbers")
-    lengths = sorted({len(row) for row in grid})
-    if d is not None and lengths and lengths != [d]:
-        problems.append(f"algorithm.theta_grid rows must have length d={d}, "
-                        f"got row lengths {lengths}")
-    elif len(lengths) > 1:
-        problems.append(f"algorithm.theta_grid rows differ in length: {lengths}")
-
-
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a config dict, raising ConfigValidationError listing every problem."""
-    problems: list[str] = []
+    """Validate a config dict, raising ConfigValidationError listing every problem.
+
+    Each top-level section is read through its layout on its own, so a problem
+    in one still leaves the others to be read and cross-checked."""
     if not isinstance(raw, dict):
         raise ConfigValidationError(["config root must be a mapping"])
-    if raw.get("schema") != SCHEMA_VERSION:
-        problems.append(f"schema must be {SCHEMA_VERSION}, got {raw.get('schema')!r}")
-
-    env_node = raw.get("environment")
-    spec = None
-    if not isinstance(env_node, dict):
-        problems.append("missing 'environment' section")
-    else:
-        cm = _parse_law(env_node.get("context_model"), CONTEXT_LAWS, "context_model", problems)
-        nm = _parse_law(env_node.get("noise_model"), NOISE_LAWS, "noise_model", problems)
-        sizes = [_coerce(env_node.get(key), int, f"environment.{key}", problems, 1)
-                 for key in ("d", "actions", "horizon")]
-        theta_star = _read(env_node.get("theta_star"), [float], "environment.theta_star",
-                           problems)
-        if None not in (cm, nm, theta_star, *sizes):
-            try:
-                spec = EnvironmentSpec(
-                    d=sizes[0],
-                    n_actions=sizes[1],
-                    theta_star=np.asarray(theta_star, dtype=float),
-                    context_model=cm,
-                    noise_model=nm,
-                    horizon=sizes[2],
-                )
-            except (TypeError, ValueError) as exc:
-                problems.append(str(exc))
-
-    algo_node = raw.get("algorithm")
-    algo = None
-    if not isinstance(algo_node, dict):
-        problems.append("missing 'algorithm' section")
-    else:
-        kind = algo_node.get("kind")
-        if kind not in ALGORITHM_KINDS:
-            problems.append(f"algorithm.kind must be one of {ALGORITHM_KINDS}, got {kind!r}")
-        else:
-            known_keys = {f.name for f in fields(AlgorithmConfig)}
-            for key in algo_node:
-                if key not in known_keys:
-                    problems.append(f"algorithm: unknown key {key!r}")
-            values = {}
-            for f in fields(AlgorithmConfig):
-                value = algo_node.get(f.name, f.default)
-                if f.type in _CASTS and (value is not None or f.default is not None):
-                    value = _coerce(value, _CASTS[f.type], f"algorithm.{f.name}",
-                                    problems, f.metadata.get("min"))
-                values[f.name] = f.default if value is None else value
-            algo = AlgorithmConfig(**values)
-            if kind == "known" and not algo.theta_grid and not algo.net_points:
-                problems.append("known-dist learner needs theta_grid or net_points")
-            if algo.theta_grid is not None:
-                _check_theta_grid(algo.theta_grid, spec.d if spec else None, problems)
-            if kind == "known" and algo.xstar_method == "exact" and spec is not None:
-                obstacle = exact_xstar_obstacle(spec)
-                if obstacle:
-                    problems.append(f"xstar_method 'exact' is unavailable: {obstacle}")
-            if algo.xstar_method not in ("auto", "exact", "monte-carlo"):
-                problems.append(f"unknown xstar_method {algo.xstar_method!r}")
-            if algo.ridge <= 0:
-                problems.append("ridge must be positive")
-
-    seeds = raw.get("seeds")
-    if not isinstance(seeds, list) or not seeds:
-        problems.append("'seeds' must be a non-empty list of integers")
-    else:
-        seeds = [_coerce(s, int, "'seeds' entry", problems, 0) for s in seeds]
-        if None not in seeds and len(set(seeds)) != len(seeds):
-            problems.append("'seeds' entries must be distinct")
-
-    output_dir = raw.get("output_dir")
-    if not isinstance(output_dir, str) or not output_dir:
-        problems.append("'output_dir' must be a non-empty string")
-
+    problems = [f"config: unknown key {key!r}" for key in raw if key not in _LAYOUT]
+    node = {key: _read(raw.get(key), shape, key, problems) for key, shape in _LAYOUT.items()}
+    spec, algo, seeds = node["environment"], node["algorithm"], node["seeds"]
+    if algo is not None and algo.kind == "known":
+        if (algo.theta_grid is None) == (algo.net_points is None):
+            problems.append("known-dist learner needs exactly one of theta_grid or net_points")
+        if spec is not None and algo.theta_grid is not None:
+            lengths = sorted({len(row) for row in algo.theta_grid})
+            if lengths != [spec.d]:
+                problems.append(f"algorithm.theta_grid rows must have length d={spec.d}, "
+                                f"got row lengths {lengths}")
+        if spec is not None and algo.xstar_method == "exact":
+            obstacle = exact_xstar_obstacle(spec)
+            if obstacle:
+                problems.append(f"xstar_method 'exact' is unavailable: {obstacle}")
+    if seeds is not None and len(set(seeds)) != len(seeds):
+        problems.append("seeds entries must be distinct")
     if problems:
         raise ConfigValidationError(problems)
-    return ExperimentConfig(
-        schema=SCHEMA_VERSION, spec=spec, algorithm=algo,
-        seeds=seeds, output_dir=output_dir,
-    )
+    return ExperimentConfig(schema=SCHEMA_VERSION, spec=spec, algorithm=algo, seeds=seeds,
+                            output_dir=node["output_dir"])
 
 
 def load_config(path) -> ExperimentConfig:
     """Read and validate a YAML experiment config."""
-    with open(path) as fh:
+    with open(path, "rb") as fh:  # bytes, so an undecodable file is a YAMLError
         raw = yaml.safe_load(fh)
     return parse_config(raw)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Plain-types dict that parses back to an equivalent config."""
-    algo = {"kind": cfg.algorithm.kind}
-    for f in fields(AlgorithmConfig):
-        value = getattr(cfg.algorithm, f.name)
-        if value != f.default:
-            algo[f.name] = value
+    algo = {f.name: getattr(cfg.algorithm, f.name) for f in fields(AlgorithmConfig)
+            if f.name == "kind" or getattr(cfg.algorithm, f.name) != f.default}
     return {
         "schema": cfg.schema,
         "environment": {

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from bitbandit.harness import (
     run_experiment,
     summarize,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 BASE_CONFIG = {
     "schema": 1,
@@ -139,9 +142,28 @@ class TestConfigParsing:
     @pytest.mark.parametrize("overrides, fragment", [
         ({"algorithm__theta_grid": [[1.0, 0.0]]}, "length d=1"),
         ({"algorithm__theta_grid": [[1.0], [1.0, 0.0]]}, "length d=1"),
-        ({"algorithm__theta_grid": [["up"], [1.0]]}, "finite numbers"),
-        ({"algorithm__theta_grid": [[float("nan")]]}, "finite numbers"),
-        ({"algorithm__theta_grid": [1.0, -1.0]}, "list of rows"),
+        ({"algorithm__theta_grid": [["up"], [1.0]]}, "must be a number, got 'up'"),
+        ({"algorithm__theta_grid": [[float("nan")]]}, "must be a number, got nan"),
+        ({"algorithm__theta_grid": [1.0, -1.0]}, "must be a list, got 1.0"),
+        ({"algorithm__theta_grid": [[10 ** 400]]}, "must be a number, got 10000000000"),
+        ({"algorithm__net_points": 4}, "exactly one of theta_grid or net_points"),
+        ({"algorithm__solve_min_rounds": 3},
+         "algorithm: unknown key 'solve_min_rounds' for kind 'known'"),
+        ({"algorithm": {"kind": "full_precision", "pilot_rounds": 5}},
+         "algorithm: unknown key 'pilot_rounds' for kind 'full_precision'"),
+        ({"algorithm": {"kind": "unknown", "misspec_epsilon": 0.1}},
+         "algorithm: unknown key 'misspec_epsilon' for kind 'unknown'"),
+        ({"algorithm__ridge": 0}, "algorithm.ridge must be > 0, got 0"),
+        ({"algorithm__xstar_method": "fast"},
+         "algorithm.xstar_method must be one of auto/exact/monte-carlo, got 'fast'"),
+        ({"outptu_dir": "results/typo"}, "config: unknown key 'outptu_dir'"),
+        ({"environment__horizn": 10}, "environment: unknown key 'horizn'"),
+        ({"schema": True}, "schema must be an integer, got True"),
+        ({"seeds": []}, "seeds must be a non-empty list"),
+        ({"environment__theta_star": [1.5]}, "exceeds 1"),
+        ({"environment__context_model": {"kind": "binary_support", "p_minus": [1.5, 0.5]}},
+         "p_minus entries must lie in"),
+        ({"environment__actions": 3}, "one p_minus per action required"),
         ({"environment__d": 2, "environment__theta_star": [0.5, 0.5],
           "environment__context_model": {"kind": "gaussian_projected", "scales": [1.0, 1.0]},
           "algorithm": {"kind": "known", "net_points": 4, "xstar_method": "exact"}},
@@ -184,6 +206,11 @@ class TestConfigParsing:
             yaml.safe_dump(raw, fh)
         assert cli_main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 2
         assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.name)
+    def test_shipped_config_roundtrips_through_dict(self, path):
+        as_dict = config_to_dict(load_config(path))
+        assert config_to_dict(parse_config(as_dict)) == as_dict
 
     @pytest.mark.parametrize("noise", sorted(NOISE_MODELS))
     @pytest.mark.parametrize("context", sorted(CONTEXT_MODELS))
@@ -385,6 +412,26 @@ class TestCli:
         code = cli_main(["run", str(cfg_path)])
         assert code == 2
         assert "schema" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "xstar"])
+    @pytest.mark.parametrize("case, fragment", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+        ("bad yaml", "while parsing a flow sequence"),
+        ("not utf-8", "unacceptable character"),
+    ])
+    def test_unloadable_config_is_a_config_error(self, tmp_path, capsys, command, case,
+                                                 fragment):
+        path = tmp_path / "cfg.yaml"
+        if case == "directory":
+            path.mkdir()
+        elif case == "bad yaml":
+            path.write_text("schema: 1\nseeds: [0, 1\n")
+        elif case == "not utf-8":
+            path.write_bytes(b"schema: 1\n\xff\n")
+        assert cli_main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and fragment in err and str(path) in err
 
     def test_codec_selftest(self, capsys):
         assert cli_main(["codec-selftest", "--max-d", "4", "--samples", "50"]) == 0
