@@ -37,9 +37,11 @@ __all__ = [
     "EnvironmentSpec",
     "sample_context",
     "sample_contexts",
+    "sample_rounds",
     "context_mean",
     "mean_reward",
     "realize_reward",
+    "reward_of",
     "regret_gap",
     "TRACE_FIELDS",
     "write_table",
@@ -86,12 +88,20 @@ class _Law:
 # A context law also answers, for dimension d:
 #   check(d, n_actions) -> problems with its per-action tables;
 #   sample(n, d, rng)   -> n context sets, shape (n, n_actions, d);
+#   rounds(c, d, rng)   -> c rounds' context sets and reward uniforms, see _ContextLaw;
 #   mean(action, d)     -> E[X_action];
 #   atom_count(d)       -> atoms in its largest per-action support, None if infinite;
 #   atoms(d)            -> per action, (vectors, probabilities) of its finite support.
 
+class _ContextLaw(_Law):
+    def rounds(self, c: int, d: int, rng: np.random.Generator):
+        """c rounds' context sets and reward uniforms, each round sample(1, d, rng), random()."""
+        sets, uniforms = zip(*[(self.sample(1, d, rng)[0], rng.random()) for _ in range(c)])
+        return np.array(sets), np.array(uniforms)
+
+
 @dataclass(frozen=True)
-class GaussianProjected(_Law):
+class GaussianProjected(_ContextLaw):
     """Per-action isotropic Gaussians, rescaled onto the unit ball when outside."""
 
     kind = "gaussian_projected"
@@ -108,7 +118,16 @@ class GaussianProjected(_Law):
         return [] if len(self.scales) == n_actions else ["one Gaussian scale per action required"]
 
     def sample(self, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-        out = rng.standard_normal((n, len(self.scales), d))
+        return self._project(rng.standard_normal((n, len(self.scales), d)))
+
+    def rounds(self, c: int, d: int, rng: np.random.Generator):
+        raw, uniforms = np.empty((c, len(self.scales), d)), np.empty(c)
+        for i in range(c):
+            rng.standard_normal(out=raw[i])
+            uniforms[i] = rng.random()
+        return self._project(raw), uniforms
+
+    def _project(self, out: np.ndarray) -> np.ndarray:  # scales and projects in place
         out *= self._stds
         norms = np.sqrt(np.add.reduce(out * out, axis=2, keepdims=True))  # as np.linalg.norm
         out /= np.maximum(norms, 1.0)  # x / 1.0 is x: only norms over 1 rescale
@@ -122,7 +141,7 @@ class GaussianProjected(_Law):
 
 
 @dataclass(frozen=True)
-class BinarySupport(_Law):
+class BinarySupport(_ContextLaw):
     """Coordinates are +-1/sqrt(d) i.i.d.; p_minus[a] = P(coordinate = -1/sqrt(d)).
 
     At d=1 this is the two-point +-1 distribution.
@@ -139,9 +158,16 @@ class BinarySupport(_Law):
         return [] if len(self.p_minus) == n_actions else ["one p_minus per action required"]
 
     def sample(self, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+        return self._signs(rng.random((n, len(self.p_minus), d)), d)
+
+    def rounds(self, c: int, d: int, rng: np.random.Generator):
+        # each round's K*d coordinate uniforms then its reward uniform, in one draw
+        raw = rng.random((c, len(self.p_minus) * d + 1))
+        return self._signs(raw[:, :-1].reshape(c, -1, d), d), raw[:, -1]
+
+    def _signs(self, uniforms: np.ndarray, d: int) -> np.ndarray:
         p = np.asarray(self.p_minus)[None, :, None]
-        signs = np.where(rng.random((n, len(self.p_minus), d)) < p, -1.0, 1.0)
-        return signs / math.sqrt(d)
+        return np.where(uniforms < p, -1.0, 1.0) / math.sqrt(d)
 
     def mean(self, action: int, d: int) -> np.ndarray:
         return np.full(d, (1.0 - 2.0 * self.p_minus[action]) / math.sqrt(d))
@@ -158,7 +184,7 @@ class BinarySupport(_Law):
 
 
 @dataclass(frozen=True)
-class CustomDiscrete(_Law):
+class CustomDiscrete(_ContextLaw):
     """Explicit finite support per action: supports[a] is (S_a, d), probs[a] sums to 1.
 
     Its config node lists the actions, each as ``{support: [...], probs: [...]}``.
@@ -224,7 +250,8 @@ class CustomDiscrete(_Law):
                 for sup, p in zip(self.supports, self.probs)]
 
 
-# A reward law answers draw(mu, rng): one reward with mean mu, from one uniform draw.
+# A reward law answers reward(mu, u): the reward of mean mu that one uniform u in
+# [0, 1) gives, so every law consumes exactly one draw per round.
 
 @dataclass(frozen=True)
 class Bernoulli(_Law):
@@ -232,8 +259,8 @@ class Bernoulli(_Law):
 
     kind = "bernoulli"
 
-    def draw(self, mu: float, rng: np.random.Generator) -> float:
-        return float(rng.random() < mu)
+    def reward(self, mu: float, u: float) -> float:
+        return float(u < mu)
 
 
 @dataclass(frozen=True)
@@ -241,9 +268,9 @@ class TruncatedGaussian(_Law):
     """Mean plus Gaussian noise truncated symmetrically so r stays in [0, 1].
 
     The truncation window is +-min(mu, 1-mu), so the noise is exactly
-    zero-mean and the realized reward never leaves [0, 1].  Sampling uses
-    the inverse CDF, consuming one uniform draw per reward regardless of
-    the window, which keeps paired-seed runs aligned.
+    zero-mean and the realized reward never leaves [0, 1].  The reward is
+    the inverse CDF of the round's one uniform, whatever the window, which
+    keeps paired-seed runs aligned.
     """
 
     kind = "truncated_gaussian"
@@ -253,9 +280,8 @@ class TruncatedGaussian(_Law):
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
 
-    def draw(self, mu: float, rng: np.random.Generator) -> float:
+    def reward(self, mu: float, u: float) -> float:
         w = min(mu, 1.0 - mu)
-        u = rng.random()  # always consume one draw to keep streams aligned
         if self.sigma == 0.0 or w == 0.0:
             return mu
         lo = _NORMAL.cdf(-w / self.sigma)
@@ -302,6 +328,8 @@ class EnvironmentSpec:
             )
         elif not np.all(np.isfinite(self.theta_star)):
             problems.append(f"theta_star entries must be finite, got {self.theta_star.tolist()}")
+        elif (peak := np.abs(self.theta_star).max()) > 1.0 + _TOL:  # before a norm can overflow
+            problems.append(f"||theta_star|| exceeds 1: an entry has magnitude {peak:.6g}")
         elif np.linalg.norm(self.theta_star) > 1.0 + _TOL:
             problems.append(
                 f"||theta_star|| = {np.linalg.norm(self.theta_star):.6g} exceeds 1"
@@ -341,7 +369,16 @@ def _hash_into(h, value) -> None:
 
 def sample_contexts(spec: EnvironmentSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` i.i.d. context sets, shape (n, n_actions, d), norms <= 1."""
-    out = spec.context_model.sample(n, spec.d, rng)
+    return _in_unit_ball(spec.context_model.sample(n, spec.d, rng))
+
+
+def sample_rounds(spec: EnvironmentSpec, c: int, rng: np.random.Generator):
+    """The next c rounds' context sets (c, n_actions, d), norms <= 1, and reward uniforms."""
+    sets, uniforms = spec.context_model.rounds(c, spec.d, rng)
+    return _in_unit_ball(sets), uniforms
+
+
+def _in_unit_ball(out: np.ndarray) -> np.ndarray:
     # sqrt is monotone, so this is the largest norm; NaN fails the test too
     if not math.sqrt(np.add.reduce(out * out, axis=2).max(initial=0.0)) <= 1.0 + _TOL:
         raise AssumptionViolation("sampled context outside the unit ball")
@@ -372,7 +409,12 @@ def mean_reward(spec: EnvironmentSpec, x: np.ndarray) -> float:
 
 def realize_reward(spec: EnvironmentSpec, x: np.ndarray, rng: np.random.Generator) -> float:
     """Draw one reward in [0, 1] with conditional mean mean_reward(spec, x)."""
-    r = spec.noise_model.draw(mean_reward(spec, x), rng)
+    return reward_of(spec, x, rng.random())
+
+
+def reward_of(spec: EnvironmentSpec, x: np.ndarray, u: float) -> float:
+    """The reward in [0, 1] of playing x that the round's reward uniform u gives."""
+    r = spec.noise_model.reward(mean_reward(spec, x), u)
     if not 0.0 - _TOL <= r <= 1.0 + _TOL:
         raise AssumptionViolation(f"realized reward {r} outside [0, 1]")
     return min(max(r, 0.0), 1.0)

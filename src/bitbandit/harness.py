@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+# Largest theta net and xstar_samples a config may ask for: the net is built point by
+# point in Python, and each point is an xstar row of up to xstar_samples context sets.
+_NET_POINTS_LIMIT = 10_000
+_XSTAR_SAMPLES_LIMIT = 10_000_000
 
 # summary.csv column -> the type it is read back as, in column order
 SUMMARY_FIELDS = {
@@ -83,8 +87,9 @@ class _Leaf:
     rule: str
 
 
-def _at_least(cast: type, low) -> _Leaf:
-    return _Leaf(cast, lambda v: v >= low, f">= {low}")
+def _at_least(cast: type, low, limit=None) -> _Leaf:
+    return (_Leaf(cast, lambda v: v >= low, f">= {low}") if limit is None else
+            _Leaf(cast, lambda v: low <= v <= limit, f">= {low} and at most the limit of {limit}"))
 
 
 class _Kinds(dict):
@@ -103,10 +108,10 @@ class AlgorithmConfig:
 
     kind: str
     theta_grid: list | None = _key(None, [[float]], "known")  # explicit known-dist grid
-    net_points: int | None = _key(None, _at_least(int, 1), "known")  # or a net of this many
+    net_points: int | None = _key(None, _at_least(int, 1, _NET_POINTS_LIMIT), "known")  # or a net
     xstar_method: str = _key("auto", _Leaf(str, ("auto", "exact", "monte-carlo").__contains__,
                                             "one of auto/exact/monte-carlo"), "known")
-    xstar_samples: int = _key(100_000, _at_least(int, 1), "known")
+    xstar_samples: int = _key(100_000, _at_least(int, 1, _XSTAR_SAMPLES_LIMIT), "known")
     xstar_seed: int = _key(0, _at_least(int, 0), "known")
     misspec_epsilon: float = _key(0.0, _at_least(float, 0.0), "known")
     misspec_seed: int = _key(0, _at_least(int, 0), "known")

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import env as environment
 from .codec import BitBuffer, KnownMessage, decode_known, encode_known
-from .env import EnvironmentSpec, RegretTrace, regret_step
+from .env import EnvironmentSpec, RegretTrace
+from .env import regret_step  # noqa: F401  the layer name bench/child.py times here
 from .quantizer import StochasticQuantizer
 
 __all__ = [
@@ -47,6 +48,7 @@ _ATOM_LIMIT = 1 << 16  # max support atoms per action for exact xstar (binary: d
 # Context sets per Monte-Carlo draw.  A custom law draws per action per chunk, so
 # another size would reorder its draws and change the table.
 _XSTAR_CHUNK = 20_000
+_BLOCK_VALUES = 8192  # context values per block of rounds that simulate draws: ~64 KiB
 
 
 def greedy_action(context_set: np.ndarray, theta: np.ndarray) -> int:
@@ -254,7 +256,7 @@ class LinUcb:
         # the product actions @ theta may round them apart by their position
         _, first, inverse = np.unique(self.actions, axis=0, return_index=True,
                                       return_inverse=True)
-        self._first = first[inverse.reshape(-1)]
+        self._first = first[inverse.reshape(-1)].tolist()
         self.V = lam * np.eye(self.d)
         self.b = np.zeros(self.d)
         self.t = 0
@@ -275,7 +277,7 @@ class LinUcb:
         vinv_x = np.linalg.solve(self.V, self.actions.T)  # (d, n)
         widths = np.sqrt(np.einsum("nd,dn->n", self.actions, vinv_x))
         ucb = self.actions @ theta + self._beta(self.t) * widths
-        self._pending = int(self._first[np.argmax(ucb)])
+        self._pending = self._first[ucb.argmax()]
         return self._pending
 
     def update(self, reward: float) -> None:
@@ -283,7 +285,7 @@ class LinUcb:
         if self._pending is None:
             raise RuntimeError("select() must be called before update()")
         x = self.actions[self._pending]
-        self.V += np.outer(x, x)
+        self.V += x[:, None] * x  # np.outer's own product
         self.b += reward * x
         self._pending = None
 
@@ -312,17 +314,27 @@ def simulate(spec: EnvironmentSpec, seed: int, broadcast, channel, learn,
     action index, played as is.  ``channel(x, r, quant_rng)`` returns what the
     learner receives and its bits; ``learn(*received)`` feeds it in.  Draws
     come from the seed's streams, or from ``rngs`` (env, quantizer) when given.
+
+    The environment comes in blocks of rounds, drawn as sample_context then
+    realize_reward draw each round.  The regret reads one product of a block's
+    sets with theta*, rounded as regret_gap rounds each set's; the mean reward
+    stays the played row's own np.dot, as in mean_reward.
     """
     env_rng, quant_rng = rngs or seed_streams(seed)[:2]
     trace = RegretTrace(seed, spec.digest())
-    for _ in range(spec.horizon):
-        order = broadcast()
-        ctx = environment.sample_context(spec, env_rng)
-        action = order if isinstance(order, int) else greedy_action(ctx, order)
-        r = environment.realize_reward(spec, ctx[action], env_rng)
-        received, bits = channel(ctx[action], r, quant_rng)
-        learn(*received)
-        regret_step(trace, ctx, spec.theta_star, action, bits=bits)
+    block = max(1, _BLOCK_VALUES // (spec.n_actions * spec.d))
+    for start in range(0, spec.horizon, block):
+        sets, uniforms = environment.sample_rounds(
+            spec, min(block, spec.horizon - start), env_rng)
+        scores = sets @ spec.theta_star
+        for ctx, score, best, u in zip(sets, scores.tolist(), scores.max(axis=1).tolist(),
+                                       uniforms.tolist()):
+            order = broadcast()
+            action = order if isinstance(order, int) else greedy_action(ctx, order)
+            r = environment.reward_of(spec, ctx[action], u)
+            received, bits = channel(ctx[action], r, quant_rng)
+            learn(*received)
+            trace.record(best - score[action], bits)
     return trace
 
 

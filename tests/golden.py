@@ -1,0 +1,53 @@
+"""Golden sha256 digests of every CSV the shipped configs write.
+
+Regenerate tests/golden_csv_sha256.json (config -> file -> sha256) from the
+root of a checkout with
+
+    PYTHONPATH=src python tests/golden.py
+
+It runs all nine configs in configs/, which takes a few minutes.  The
+acceptance criteria that run these configs record their CSVs' digests, and
+tests/test_acceptance.py::test_11_golden_csv_digests compares all nine with
+the file.  The digests belong to the NumPy and BLAS they were recorded with.
+"""
+
+import hashlib
+import json
+import os
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+CONFIG_DIR = HERE.parent / "configs"
+GOLDEN = HERE / "golden_csv_sha256.json"
+
+
+def config_names() -> list[str]:
+    return sorted(path.stem for path in CONFIG_DIR.glob("*.yaml"))
+
+
+def digests(result) -> dict:
+    """File name -> sha256 of every CSV a run_experiment result wrote."""
+    out = {}
+    for path in result.trace_paths + [result.summary_path]:
+        with open(path, "rb") as fh:
+            out[os.path.basename(path)] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def run_config(name: str, base_dir) -> dict:
+    """Run configs/<name>.yaml under ``base_dir`` and digest its CSVs."""
+    from bitbandit.harness import load_config, run_experiment
+
+    return digests(run_experiment(load_config(CONFIG_DIR / f"{name}.yaml"), base_dir=base_dir))
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {name: run_config(name, Path(tmp) / name) for name in config_names()}
+    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {sum(map(len, table.values()))} digests of {len(table)} configs to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    main()

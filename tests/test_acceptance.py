@@ -7,13 +7,16 @@ exact configs checked into ``configs/`` and write their CSVs to a temp dir.
 """
 
 import itertools
+import json
 import math
 import random
 import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import golden
 from bitbandit.codec import bit_budget, lattice_enumerator
 from bitbandit.env import (
     Bernoulli,
@@ -38,6 +41,12 @@ from bitbandit.quantizer import (
 from bitbandit.unknown import apply_update, lattice_channel, new_learner_state
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.fixture(scope="session")
+def csv_digests():
+    """Config name -> {file: sha256} of the shipped configs' CSVs this session wrote."""
+    return {}
 
 
 def _report(name: str, ok: bool, detail: str) -> None:
@@ -189,7 +198,7 @@ def test_05_xstar_golden_values():
     )
 
 
-def test_06_naive_counterexample(tmp_path):
+def test_06_naive_counterexample(tmp_path, csv_digests):
     t0 = time.perf_counter()
     naive = run_experiment(
         load_config(CONFIG_DIR / "appendix_a_naive.yaml"), base_dir=tmp_path
@@ -197,6 +206,8 @@ def test_06_naive_counterexample(tmp_path):
     onebit = run_experiment(
         load_config(CONFIG_DIR / "appendix_a_algo1.yaml"), base_dir=tmp_path
     )
+    csv_digests.update(appendix_a_naive=golden.digests(naive),
+                       appendix_a_algo1=golden.digests(onebit))
     by_t = {row["t"]: row for row in naive.summary_rows}
     naive_rate = by_t[10_000]["mean_cum_regret"] / 10_000
     ob = {row["t"]: row for row in onebit.summary_rows}
@@ -215,7 +226,7 @@ def test_06_naive_counterexample(tmp_path):
     )
 
 
-def test_07_quantized_vs_full_precision(tmp_path):
+def test_07_quantized_vs_full_precision(tmp_path, csv_digests):
     t0 = time.perf_counter()
     quant = run_experiment(
         load_config(CONFIG_DIR / "gauss_d5_quantized.yaml"), base_dir=tmp_path
@@ -223,6 +234,8 @@ def test_07_quantized_vs_full_precision(tmp_path):
     full = run_experiment(
         load_config(CONFIG_DIR / "gauss_d5_fullprec.yaml"), base_dir=tmp_path
     )
+    csv_digests.update(gauss_d5_quantized=golden.digests(quant),
+                       gauss_d5_fullprec=golden.digests(full))
     assert [tr.seed for tr in quant.traces] == [tr.seed for tr in full.traces]
     q_by_t = {row["t"]: row for row in quant.summary_rows}
     f_by_t = {row["t"]: row for row in full.summary_rows}
@@ -286,7 +299,7 @@ def test_08_ls_oracle_equivalence():
     )
 
 
-def test_09_misspecification_trend(tmp_path):
+def test_09_misspecification_trend(tmp_path, csv_digests):
     t0 = time.perf_counter()
     means, cis = [], []
     for tag in ("e00", "e01", "e02"):
@@ -294,6 +307,7 @@ def test_09_misspecification_trend(tmp_path):
             load_config(CONFIG_DIR / f"example1_misspec_{tag}.yaml"),
             base_dir=tmp_path,
         )
+        csv_digests[f"example1_misspec_{tag}"] = golden.digests(res)
         final = {row["t"]: row for row in res.summary_rows}[10_000]
         means.append(final["mean_cum_regret"])
         cis.append((final["ci95_lo"], final["ci95_hi"]))
@@ -312,7 +326,7 @@ def test_09_misspecification_trend(tmp_path):
     )
 
 
-def test_10_reproducibility(tmp_path):
+def test_10_reproducibility(tmp_path, csv_digests):
     t0 = time.perf_counter()
     identical = True
     n_files = 0
@@ -320,6 +334,7 @@ def test_10_reproducibility(tmp_path):
         cfg = load_config(CONFIG_DIR / name)
         first = run_experiment(cfg, base_dir=tmp_path / "a")
         second = run_experiment(cfg, base_dir=tmp_path / "b")
+        csv_digests[Path(name).stem] = golden.digests(first)
         paths = list(zip(
             first.trace_paths + [first.summary_path],
             second.trace_paths + [second.summary_path],
@@ -334,4 +349,24 @@ def test_10_reproducibility(tmp_path):
         identical,
         f"{n_files} CSVs byte-identical across reruns of two configs "
         f"(known-dist and unknown-dist), {elapsed:.1f}s",
+    )
+
+
+def test_11_golden_csv_digests(tmp_path, csv_digests):
+    t0 = time.perf_counter()
+    want = json.loads(golden.GOLDEN.read_text())
+    ran = [name for name in golden.config_names() if name not in csv_digests]
+    for name in ran:  # a config no criterion of this session produced
+        csv_digests[name] = golden.run_config(name, tmp_path / name)
+    got = {name: csv_digests[name] for name in golden.config_names()}
+    differ = [f"{name}/{file}" for name in sorted(set(want) | set(got))
+              for file in sorted(set(want.get(name, {})) | set(got.get(name, {})))
+              if want.get(name, {}).get(file) != got.get(name, {}).get(file)]
+    elapsed = time.perf_counter() - t0
+    _report(
+        "golden-csv-digests",
+        not differ,
+        f"{sum(map(len, got.values()))} CSVs of {len(got)} configs against "
+        f"{golden.GOLDEN.name} ({len(ran)} configs run here); "
+        f"differing: {', '.join(differ) or 'none'}, {elapsed:.1f}s",
     )

@@ -1,6 +1,7 @@
 """Tests for environment specs, context/noise models, and regret traces."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,14 @@ class TestEnvironmentSpec:
     def test_theta_norm_bound(self):
         with pytest.raises(ValueError):
             binary_spec(theta=[1.5])
+
+    def test_huge_theta_star_is_reported_without_an_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="theta_star.* exceeds 1"):
+                EnvironmentSpec(d=3, n_actions=1, theta_star=np.full(3, 1e308),
+                                context_model=BinarySupport(p_minus=(0.5,)),
+                                noise_model=Bernoulli(), horizon=1)
 
     def test_digest_is_stable_and_discriminating(self):
         a, b = binary_spec(), binary_spec()

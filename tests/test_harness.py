@@ -11,6 +11,8 @@ import yaml
 from bitbandit.cli import main as cli_main
 from bitbandit.env import RegretTrace
 from bitbandit.harness import (
+    _NET_POINTS_LIMIT,
+    _XSTAR_SAMPLES_LIMIT,
     ConfigValidationError,
     config_to_dict,
     default_checkpoints,
@@ -206,6 +208,33 @@ class TestConfigParsing:
             yaml.safe_dump(raw, fh)
         assert cli_main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 2
         assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, limit", [("net_points", _NET_POINTS_LIMIT),
+                                            ("xstar_samples", _XSTAR_SAMPLES_LIMIT)])
+    def test_cost_keys_stop_at_their_limit(self, key, limit, tmp_path, capsys):
+        algo = {"kind": "known", key: limit}
+        if key != "net_points":
+            algo["theta_grid"] = [[-1.0], [1.0]]  # exact xstar: the samples go unused
+        for value, code in ((limit, 0), (limit + 1, 2)):
+            raw = make_config(algorithm={**algo, key: value})
+            if code == 0:
+                assert getattr(parse_config(raw).algorithm, key) == limit
+            else:
+                with pytest.raises(ConfigValidationError, match=f"limit of {limit}, got"):
+                    parse_config(raw)
+            cfg_path = tmp_path / f"{value}.yaml"
+            with open(cfg_path, "w") as fh:
+                yaml.safe_dump(raw, fh)
+            assert cli_main(["run", str(cfg_path), "--output-dir",
+                             str(tmp_path / f"out{value}")]) == code
+            assert (f"algorithm.{key} must be" in capsys.readouterr().err) == (code == 2)
+
+    def test_huge_net_is_a_config_error_before_the_net_is_built(self, tmp_path, capsys):
+        cfg_path = tmp_path / "huge.yaml"
+        with open(cfg_path, "w") as fh:
+            yaml.safe_dump(make_config(algorithm={"kind": "known", "net_points": 10 ** 20}), fh)
+        assert cli_main(["xstar", str(cfg_path)]) == 2
+        assert f"at most the limit of {_NET_POINTS_LIMIT}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.name)
     def test_shipped_config_roundtrips_through_dict(self, path):
