@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # np.linalg.solve's own gufuncs; see ROADMAP.md
 
 from . import env as environment
 from .codec import BitBuffer, KnownMessage, decode_known, encode_known
@@ -249,9 +250,10 @@ class LinUcb:
         if self.actions.shape[0] < 1:
             raise ValueError("need at least one action")
         self.n, self.d = self.actions.shape
-        if lam <= 0:
-            raise ValueError(f"ridge parameter must be positive, got {lam}")
+        if not (math.isfinite(lam) and lam > 0):
+            raise ValueError(f"ridge parameter must be positive and finite, got {lam}")
         self.lam = lam
+        self._actions_t = np.ascontiguousarray(self.actions.T)
         # lowest index of each row's identical copies: identical rows tie, but
         # the product actions @ theta may round them apart by their position
         _, first, inverse = np.unique(self.actions, axis=0, return_index=True,
@@ -267,23 +269,34 @@ class LinUcb:
             2.0 * math.log(t) + self.d * math.log(1.0 + t / (self.lam * self.d))
         )
 
+    def _estimate(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ridge estimate theta = V^-1 b and each action's width sqrt(x^T V^-1 x)."""
+        # np.linalg.solve's own kernels, without the wrapper whose errstate turns
+        # a singular system into LinAlgError: V = lam I + sum x x^T, lam > 0, is not
+        theta = _umath_linalg.solve1(self.V, self.b, signature="dd->d")
+        vinv_x = _umath_linalg.solve(self.V, self._actions_t, signature="dd->d")  # (d, n)
+        return theta, np.sqrt(np.einsum("nd,dn->n", self.actions, vinv_x))
+
     def select(self) -> int:
         """Index of the UCB-maximizing action; lowest index on ties and among
         identical actions."""
         if self._pending is not None:
             raise RuntimeError("update() must be called before the next select()")
         self.t += 1
-        theta = np.linalg.solve(self.V, self.b)
-        vinv_x = np.linalg.solve(self.V, self.actions.T)  # (d, n)
-        widths = np.sqrt(np.einsum("nd,dn->n", self.actions, vinv_x))
+        theta, widths = self._estimate()
         ucb = self.actions @ theta + self._beta(self.t) * widths
-        self._pending = self._first[ucb.argmax()]
+        best = ucb.argmax()  # the first NaN, if there is one
+        if math.isnan(ucb[best]):
+            raise np.linalg.LinAlgError(f"LinUCB index is NaN in round {self.t}")
+        self._pending = self._first[best]
         return self._pending
 
     def update(self, reward: float) -> None:
         """Feed back the reward observed for the last selected index."""
         if self._pending is None:
             raise RuntimeError("select() must be called before update()")
+        if not math.isfinite(reward):
+            raise ValueError(f"reward must be finite, got {reward}")
         x = self.actions[self._pending]
         self.V += x[:, None] * x  # np.outer's own product
         self.b += reward * x
@@ -294,11 +307,28 @@ class LinUcb:
 # the simulation loop and the one-bit channel
 # --------------------------------------------------------------------------
 
+def _one_bit_wire():
+    """The codec's frame of each reward bit, and what the codec parses each frame
+    back to: the learner's input and the message's length in bits."""
+    frames, received = [], {}
+    for bit in (0, 1):
+        buf = encode_known(KnownMessage(reward_bit=bit))
+        frames.append(buf.to_bytes())
+        msg = decode_known(BitBuffer.from_bytes(frames[-1], len(buf)))
+        received[frames[-1]] = ((msg.reward_bit,), len(buf))
+    return tuple(frames), received
+
+
+_ONE_BIT_FRAMES, _ONE_BIT_RECEIVED = _one_bit_wire()
+
+
 def one_bit_channel(x: np.ndarray, r: float, quant_rng: np.random.Generator):
-    """The reward rounded to one bit, framed to bytes and parsed back; x stays put."""
-    buf = encode_known(KnownMessage(reward_bit=REWARD_BIT.encode(r, quant_rng)))
-    msg = decode_known(BitBuffer.from_bytes(buf.to_bytes(), len(buf)))
-    return (msg.reward_bit,), len(buf)
+    """The reward rounded to one bit, framed to bytes and parsed back; x stays put.
+
+    The message space has two elements, so both frames and their parses are
+    the codec's own, made once at import.
+    """
+    return _ONE_BIT_RECEIVED[_ONE_BIT_FRAMES[REWARD_BIT.encode(r, quant_rng)]]
 
 
 def seed_streams(seed: int) -> tuple[np.random.Generator, ...]:

@@ -54,6 +54,17 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
+def _evidence(name: str, detail: str) -> None:
+    """Seed-level figures behind a comparative gate: printed, never gated."""
+    print(f"\n[{name}] seed-level: {detail}", flush=True)
+
+
+def _paired_ci(diffs: np.ndarray) -> str:
+    """Mean of paired per-seed differences with the summary's normal 95% interval."""
+    mean, half = diffs.mean(), 1.96 * diffs.std(ddof=1) / math.sqrt(len(diffs))
+    return f"{mean:.1f} [{mean - half:.1f}, {mean + half:.1f}]"
+
+
 def _unit_ball(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     x = rng.standard_normal((n, d))
     x /= np.linalg.norm(x, axis=1, keepdims=True)
@@ -244,6 +255,20 @@ def test_07_quantized_vs_full_precision(tmp_path, csv_digests):
     rate_hi = q_by_t[20_000]["mean_cum_regret"] / 20_000
     bits_ok = q_by_t[20_000]["mean_bits_per_round"] == bit_budget(5)
     elapsed = time.perf_counter() - t0
+    q_final = np.array([tr.total_regret for tr in quant.traces])
+    f_final = np.array([tr.total_regret for tr in full.traces])
+    quartiles = np.percentile(q_final / f_final, [25, 50, 75])
+    resamples = np.random.default_rng(20_000).integers(0, len(q_final), (10_000, len(q_final)))
+    boot = q_final[resamples].mean(axis=1) / f_final[resamples].mean(axis=1)
+    boot_lo, boot_hi = np.percentile(boot, [2.5, 97.5])
+    _evidence(
+        "criterion-07 desk-scale-regret",
+        "per-seed quantized/full R_T ratio quartiles "
+        + "/".join(f"{v:.2f}" for v in quartiles)
+        + f"; ratio of means {ratio:.2f}, 95% seed-bootstrap interval "
+        f"[{boot_lo:.2f}, {boot_hi:.2f}] (10000 resamples), "
+        f"P(ratio > 3) = {np.mean(boot > 3.0):.2f}",
+    )
     _report(
         "criterion-07 desk-scale-regret",
         ratio <= 3.0 and rate_hi < 0.5 * rate_lo and bits_ok and elapsed < 300.0,
@@ -301,7 +326,7 @@ def test_08_ls_oracle_equivalence():
 
 def test_09_misspecification_trend(tmp_path, csv_digests):
     t0 = time.perf_counter()
-    means, cis = [], []
+    means, cis, finals = [], [], []
     for tag in ("e00", "e01", "e02"):
         res = run_experiment(
             load_config(CONFIG_DIR / f"example1_misspec_{tag}.yaml"),
@@ -311,8 +336,24 @@ def test_09_misspecification_trend(tmp_path, csv_digests):
         final = {row["t"]: row for row in res.summary_rows}[10_000]
         means.append(final["mean_cum_regret"])
         cis.append((final["ci95_lo"], final["ci95_hi"]))
+        finals.append({tr.seed: tr.total_regret for tr in res.traces})
     ok = means[0] <= means[1] <= means[2]
     elapsed = time.perf_counter() - t0
+    # the three configs share seeds and environment streams: seed-paired
+    seeds = list(finals[0])
+    assert all(list(f) == seeds for f in finals)
+    regrets = np.array([[f[s] for s in seeds] for f in finals])
+    eps = ("0", "0.1", "0.2")
+    _evidence(
+        "criterion-09 misspec-trend",
+        "; ".join(f"eps={e}: R_T > 0 on seeds {[s for s, r in zip(seeds, row) if r > 0]}"
+                  for e, row in zip(eps, regrets))
+        + "".join(
+            f"; eps {eps[i]}->{eps[i + 1]}: seeds changed "
+            f"{[s for s, a, b in zip(seeds, regrets[i], regrets[i + 1]) if a != b]}, "
+            f"paired mean difference {_paired_ci(regrets[i + 1] - regrets[i])}"
+            for i in range(2)),
+    )
     # reported, not gated: whether each step of the trend is within seed noise
     overlap = ["overlap" if lo_b <= hi_a and lo_a <= hi_b else "apart"
                for (lo_a, hi_a), (lo_b, hi_b) in zip(cis, cis[1:])]

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitbandit import known
+from bitbandit.codec import BitBuffer, decode_known
 from bitbandit.env import (
     Bernoulli,
     BinarySupport,
@@ -316,6 +318,73 @@ class TestLinUcb:
     def test_rejects_bad_ridge(self):
         with pytest.raises(ValueError):
             LinUcb(np.array([[1.0]]), lam=0.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_rejects_non_finite_ridge(self, lam):
+        with pytest.raises(ValueError, match=f"got {lam}"):
+            LinUcb(np.array([[1.0]]), lam=lam)
+
+    @pytest.mark.parametrize("reward", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_reward(self, reward):
+        policy = LinUcb(np.array([[1.0], [0.5]]))
+        policy.select()
+        with pytest.raises(ValueError, match=f"got {reward}"):
+            policy.update(reward)
+        np.testing.assert_array_equal(policy.b, [0.0])
+
+    def test_nan_index_raises_naming_the_round(self):
+        # an infinite row times theta = 0 is NaN: argmax would pick it silently
+        policy = LinUcb(np.array([[np.inf], [1.0]]))
+        with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError,
+                                                          match="round 1"):
+            policy.select()
+
+    def test_infinite_widths_pick_the_lowest_index(self):
+        policy = LinUcb(np.array([[1e200], [2e200]]))  # both widths overflow to inf
+        assert policy.select() == 0
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 64), st.integers(1, 32), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_solves_equal_the_public_solve_bit_for_bit(self, d, n, seed, duplicates):
+        """theta and the widths, byte for byte as select computed them with
+        np.linalg.solve, on V = lam I + sum x x^T as the updates build it."""
+        rng = np.random.default_rng(seed)
+        menu = rng.uniform(-1.0, 1.0, (n, d)) / math.sqrt(d)
+        if duplicates and n > 1:
+            menu[rng.integers(1, n, n // 2)] = menu[0]
+        policy = LinUcb(menu, lam=float(rng.uniform(0.1, 2.0)))
+        for x in rng.uniform(-1.0, 1.0, (int(rng.integers(0, 3 * d)), d)) / math.sqrt(d):
+            policy.V += x[:, None] * x
+            policy.b += rng.choice([-1.0, 1.0]) * x
+        theta, widths = policy._estimate()
+        ref_theta = np.linalg.solve(policy.V, policy.b)
+        ref_widths = np.sqrt(np.einsum("nd,dn->n", menu, np.linalg.solve(policy.V, menu.T)))
+        assert theta.tobytes() == ref_theta.tobytes()
+        assert widths.tobytes() == ref_widths.tobytes()
+
+    def test_solve_gufuncs_are_where_numpy_keeps_them(self):
+        solve, solve1 = known._umath_linalg.solve, known._umath_linalg.solve1
+        where = "numpy.linalg._umath_linalg, which LinUcb.select calls directly,"
+        assert solve.signature == "(m,m),(m,n)->(m,n)", f"{where} moved solve"
+        assert solve1.signature == "(m,m),(m)->(m)", f"{where} moved solve1"
+        assert "dd->d" in solve.types and "dd->d" in solve1.types, f"{where} lost dd->d"
+
+
+class TestOneBitChannel:
+    def test_frames_are_the_codec_bytes_and_parse_back(self):
+        assert known._ONE_BIT_FRAMES == (b"\x00", b"\x80")
+        for bit, frame in enumerate(known._ONE_BIT_FRAMES):
+            assert decode_known(BitBuffer.from_bytes(frame, 1)).reward_bit == bit
+            assert known._ONE_BIT_RECEIVED[frame] == ((bit,), 1)
+
+    def test_one_draw_per_round_as_the_reward_bit(self):
+        rewards = np.random.default_rng(5).random(500)
+        ours, ref = np.random.default_rng(8), np.random.default_rng(8)
+        for r in rewards.tolist():
+            bit = known.REWARD_BIT.encode(r, ref)
+            assert known.one_bit_channel(None, r, ours) == ((bit,), 1)
+        assert ours.random() == ref.random()
 
 
 class TestRunKnown:
