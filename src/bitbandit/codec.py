@@ -11,8 +11,9 @@ Wire format (documented in docs/PROTOCOL.md, frozen by golden-byte tests):
   where Q_d = {v in N^d : ||v||_1 <= 2d} and the rank is the position of
   the magnitude vector in the lexicographic enumeration of Q_d.  Byte
   padding (zeros on the right, and rejected by the decoder unless zero)
-  happens only when a buffer is framed into bytes; bit lengths are always
-  accounted unpadded.
+  happens only when a message is framed into bytes; bit lengths are always
+  accounted unpadded.  A message is the integer whose bits are these fields
+  in order, and a BitBuffer frames that integer with its bit length.
 """
 
 from __future__ import annotations
@@ -51,61 +52,39 @@ class LatticeMembershipError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# bit buffer
+# message frame
 # --------------------------------------------------------------------------
 
 class BitBuffer:
-    """Append-only bit string with a read cursor; MSB-first within the buffer."""
+    """A message frame: one integer and its bit length, MSB-first on the wire."""
 
-    def __init__(self):
-        self._acc = 0
-        self._nbits = 0
-        self._cursor = 0
+    def __init__(self, value: int, nbits: int):
+        if nbits < 0 or not 0 <= value < (1 << nbits):
+            raise ValueError(f"value {value} does not fit in {nbits} bits")
+        self.value = value
+        self._nbits = nbits
 
     def __len__(self) -> int:
         return self._nbits
 
-    def write(self, value: int, width: int) -> None:
-        """Append ``value`` as exactly ``width`` bits."""
-        if width < 0:
-            raise ValueError(f"negative width {width}")
-        if not 0 <= value < (1 << width):
-            raise ValueError(f"value {value} does not fit in {width} bits")
-        self._acc = (self._acc << width) | value
-        self._nbits += width
-
-    def read(self, width: int) -> int:
-        """Consume and return the next ``width`` bits."""
-        if self._cursor + width > self._nbits:
-            raise MessageCodecError(
-                f"read past end of buffer ({self._cursor}+{width} > {self._nbits} bits)"
-            )
-        shift = self._nbits - self._cursor - width
-        self._cursor += width
-        return (self._acc >> shift) & ((1 << width) - 1)
-
     def to_bytes(self) -> bytes:
         """Frame into bytes, zero-padding on the right to a byte boundary."""
         nbytes = (self._nbits + 7) // 8
-        pad = 8 * nbytes - self._nbits
-        return (self._acc << pad).to_bytes(nbytes, "big") if nbytes else b""
+        return (self.value << (8 * nbytes - self._nbits)).to_bytes(nbytes, "big")
 
     @classmethod
     def from_bytes(cls, data: bytes, nbits: int) -> "BitBuffer":
-        """Rebuild a buffer of ``nbits`` bits from its framed byte string, whose
-        padding bits must all be zero."""
+        """Rebuild a frame of ``nbits`` bits from its byte string, whose padding
+        bits must all be zero."""
         if nbits < 0 or (nbits + 7) // 8 != len(data):
             raise MessageCodecError(
                 f"{len(data)} bytes cannot hold exactly {nbits} bits"
             )
         pad = 8 * len(data) - nbits
-        acc = int.from_bytes(data, "big")
-        if acc & ((1 << pad) - 1):
+        value = int.from_bytes(data, "big")
+        if value & ((1 << pad) - 1):
             raise MessageCodecError(f"nonzero padding bits after bit {nbits}")
-        buf = cls()
-        buf._acc = acc >> pad
-        buf._nbits = nbits
-        return buf
+        return cls(value >> pad, nbits)
 
 
 # --------------------------------------------------------------------------
@@ -223,16 +202,14 @@ class UnknownMessage:
 
 def encode_known(msg: KnownMessage) -> BitBuffer:
     """Serialize a known-distribution message: exactly one bit."""
-    buf = BitBuffer()
-    buf.write(msg.reward_bit, 1)
-    return buf
+    return BitBuffer(msg.reward_bit, 1)
 
 
 def decode_known(buf: BitBuffer) -> KnownMessage:
     """Parse a known-distribution message; the buffer must hold exactly 1 bit."""
     if len(buf) != 1:
         raise MessageCodecError(f"known message is 1 bit, buffer has {len(buf)}")
-    return KnownMessage(reward_bit=buf.read(1))
+    return KnownMessage(reward_bit=buf.value)
 
 
 def encode_unknown(msg: UnknownMessage) -> BitBuffer:
@@ -241,27 +218,27 @@ def encode_unknown(msg: UnknownMessage) -> BitBuffer:
     d = qc.d
     # sign and square bits as one 2d-bit field; packbits zero-pads to whole bytes
     packed = np.packbits(np.concatenate((qc.signs, qc.sq_errors)) > 0.0)
+    field = int.from_bytes(packed.tobytes(), "big") >> (-2 * d % 8)
     enum = lattice_enumerator(d)
-    buf = BitBuffer()
-    buf.write(msg.reward_bit, 1)
-    buf.write(int.from_bytes(packed.tobytes(), "big") >> (-2 * d % 8), 2 * d)
-    buf.write(enum.rank(qc.magnitudes), enum.width)
-    return buf
+    # int(): a NumPy integer reward bit would wrap once shifted past 64 bits
+    value = (((int(msg.reward_bit) << 2 * d) | field) << enum.width) | enum.rank(qc.magnitudes)
+    return BitBuffer(value, 1 + 2 * d + enum.width)
 
 
 def decode_unknown(buf: BitBuffer, d: int) -> UnknownMessage:
     """Parse an unknown-distribution message for dimension ``d``."""
     enum = lattice_enumerator(d)
-    if len(buf) != 1 + 2 * d + enum.width:  # the three fields read below
+    if len(buf) != 1 + 2 * d + enum.width:  # the three fields split below
         raise MessageCodecError(
             f"unknown message for d={d} is {bit_budget(d)} bits, buffer has {len(buf)}"
         )
-    reward_bit = buf.read(1)
+    head, rank = divmod(buf.value, 1 << enum.width)
+    reward_bit, field = divmod(head, 1 << 2 * d)
     # the 2d-bit sign and square field, left-aligned in whole bytes as packbits
     # left it, then one 0/1 byte per bit
-    field = buf.read(2 * d) << (-2 * d % 8)
+    field <<= -2 * d % 8
     bits = np.unpackbits(np.frombuffer(field.to_bytes((2 * d + 7) // 8, "big"), np.uint8))
-    magnitudes = enum.unrank(buf.read(enum.width))  # raises past the lattice's end
+    magnitudes = enum.unrank(rank)  # raises past the lattice's end
     m = magnitude_scale(d)
     grid = context_grid(m)
     qc = QuantizedContext(signs=grid.signs.take(bits[:d]), magnitudes=magnitudes,

@@ -52,6 +52,9 @@ SCHEMA_VERSION = 1
 # point in Python, and each point is an xstar row of up to xstar_samples context sets.
 _NET_POINTS_LIMIT = 10_000
 _XSTAR_SAMPLES_LIMIT = 10_000_000
+# Most rounds (horizon x seeds) a config may ask for: every seed's trace, under 100 B
+# a round, is kept until the summary, so the limit holds under 1 GB of traces.
+_ROUNDS_LIMIT = 10_000_000
 
 # summary.csv column -> the type it is read back as, in column order
 SUMMARY_FIELDS = {
@@ -242,6 +245,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 problems.append(f"xstar_method 'exact' is unavailable: {obstacle}")
     if seeds is not None and len(set(seeds)) != len(seeds):
         problems.append("seeds entries must be distinct")
+    if spec is not None and seeds is not None and spec.horizon * len(seeds) > _ROUNDS_LIMIT:
+        problems.append(f"environment.horizon {spec.horizon} x {len(seeds)} seeds is over "
+                        f"the limit of {_ROUNDS_LIMIT} rounds")
     if problems:
         raise ConfigValidationError(problems)
     return ExperimentConfig(schema=SCHEMA_VERSION, spec=spec, algorithm=algo, seeds=seeds,

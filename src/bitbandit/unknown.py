@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # np.linalg.solve's own gufuncs; see ROADMAP.md
 
 from . import env as environment
 from .codec import BitBuffer, UnknownMessage, decode_unknown, encode_unknown
@@ -54,14 +54,21 @@ _COND_LIMIT = 1e8
 
 @dataclass
 class UnknownLearnerState:
-    """Sufficient statistics of the bit-fed least-squares learner."""
+    """Sufficient statistics of the bit-fed least-squares learner; ``rhs`` is the
+    solve's [u | p], p = sin(1..d) being the condition probe of l1 norm ``probe_l1``."""
 
-    u: np.ndarray
+    rhs: np.ndarray
     v_tilde: np.ndarray
     theta_hat: np.ndarray
+    probe_l1: float
     t: int = 0
     solve_min_rounds: int = 1
     pinv_fallbacks: int = 0
+
+    @property
+    def u(self) -> np.ndarray:
+        """The signed-reward sum, a view of the first column of ``rhs``."""
+        return self.rhs[:, 0]
 
 
 def new_learner_state(d: int, solve_min_rounds: int | None = None) -> UnknownLearnerState:
@@ -72,13 +79,11 @@ def new_learner_state(d: int, solve_min_rounds: int | None = None) -> UnknownLea
         solve_min_rounds = d
     if solve_min_rounds < 0:
         raise ValueError("solve_min_rounds must be nonnegative")
-    return UnknownLearnerState(
-        u=np.zeros(d),
-        v_tilde=np.zeros((d, d)),
-        theta_hat=np.zeros(d),
-        t=0,
-        solve_min_rounds=solve_min_rounds,
-    )
+    rhs = np.zeros((d, 2))
+    rhs[:, 1] = np.sin(np.arange(1.0, d + 1))
+    return UnknownLearnerState(rhs=rhs, v_tilde=np.zeros((d, d)), theta_hat=np.zeros(d),
+                               probe_l1=np.abs(rhs[:, 1]).sum(),
+                               solve_min_rounds=solve_min_rounds)
 
 
 def apply_update(state: UnknownLearnerState, reward_bit: float, xhat: np.ndarray,
@@ -92,19 +97,19 @@ def apply_update(state: UnknownLearnerState, reward_bit: float, xhat: np.ndarray
     squared coordinates.  Every added term is exactly symmetric, since
     x_i * x_j == x_j * x_i in floating point, so Vtilde stays symmetric.  The
     solve is one LU factorisation for u and a fixed probe vector p.  It falls
-    back to the pseudo-inverse, counted in ``pinv_fallbacks``, when LU fails,
-    returns a non-finite value or estimates cond_1(Vtilde) as
-    ||Vtilde||_1 ||Vtilde^-1 p||_1 / ||p||_1 > _COND_LIMIT.  So singular and
-    nearly singular systems, such as those of early rounds, still get the
-    minimum-norm least-squares solution.
+    back to the pseudo-inverse, counted in ``pinv_fallbacks``, when LU returns
+    a non-finite value (LAPACK's NaN for a singular system) or estimates
+    cond_1(Vtilde) as ||Vtilde||_1 ||Vtilde^-1 p||_1 / ||p||_1 > _COND_LIMIT.
+    So singular and nearly singular systems, such as those of early rounds,
+    still get the minimum-norm least-squares solution.
     """
     outer = xhat[:, None] * xhat  # np.outer's own product
     outer.reshape(-1)[::xhat.size + 1] = xsq_hat  # the diagonal, as np.fill_diagonal writes it
     state.v_tilde += outer
-    state.u += (2.0 * reward_bit - 1.0) * xhat
+    state.rhs[:, 0] += (2.0 * reward_bit - 1.0) * xhat
     state.t += 1
     if state.t >= state.solve_min_rounds:
-        theta = _lu_solve(state.v_tilde, state.u)
+        theta = _lu_solve(state.v_tilde, state.rhs, state.probe_l1)
         if theta is None:
             state.pinv_fallbacks += 1
             theta = np.linalg.pinv(state.v_tilde) @ state.u
@@ -112,26 +117,13 @@ def apply_update(state: UnknownLearnerState, reward_bit: float, xhat: np.ndarray
     return state
 
 
-@lru_cache(maxsize=None)
-def _probe(d: int) -> tuple[np.ndarray, float]:
-    """The condition probe p = sin(1..d) and its l1 norm."""
-    probe = np.sin(np.arange(1.0, d + 1))
-    probe.flags.writeable = False
-    return probe, np.abs(probe).sum()
-
-
-def _lu_solve(v: np.ndarray, u: np.ndarray) -> np.ndarray | None:
-    """V^-1 u by LU, or None where LU cannot be trusted to match pinv."""
-    probe, probe_l1 = _probe(u.size)
-    rhs = np.empty((u.size, 2))
-    rhs[:, 0] = u
-    rhs[:, 1] = probe
-    try:
-        sol = np.linalg.solve(v, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    v_l1 = np.add.reduce(np.abs(v), axis=0).max()  # ||V||_1, as np.linalg.norm(v, 1)
-    cond = v_l1 * np.add.reduce(np.abs(sol[:, 1])) / probe_l1
+def _lu_solve(v: np.ndarray, rhs: np.ndarray, probe_l1: float) -> np.ndarray | None:
+    """V^-1 u from V^-1 [u | p] by LU, or None where LU cannot be trusted to match pinv."""
+    # a singular V solves to NaN, a nearly singular one may overflow: the rule rejects both
+    with np.errstate(all="ignore"):
+        sol = _umath_linalg.solve(v, rhs, signature="dd->d")
+        v_l1 = np.add.reduce(np.abs(v), axis=0).max()  # ||V||_1, as np.linalg.norm(v, 1)
+        cond = v_l1 * np.add.reduce(np.abs(sol[:, 1])) / probe_l1
     if not (np.isfinite(sol).all() and cond <= _COND_LIMIT):
         return None
     return sol[:, 0]

@@ -1,4 +1,4 @@
-"""Tests for the bit buffer, lattice enumeration, and message codecs."""
+"""Tests for the message frame, lattice enumeration, and message codecs."""
 
 import itertools
 import math
@@ -38,62 +38,53 @@ def lattice_vectors(draw):
 
 
 def reference_encode(msg: UnknownMessage) -> BitBuffer:
-    """The unknown-message layout of docs/PROTOCOL.md, one BitBuffer.write per bit."""
+    """The unknown-message layout of docs/PROTOCOL.md, shifted in one bit at a time."""
     qc = msg.context
-    buf = BitBuffer()
-    buf.write(msg.reward_bit, 1)
-    for s in qc.signs.tolist():
-        buf.write(1 if s > 0 else 0, 1)
-    for e in qc.sq_errors.tolist():
-        buf.write(1 if e > 0 else 0, 1)
-    buf.write(lattice_enumerator(qc.d).rank(qc.magnitudes), bit_budget(qc.d) - 1 - 2 * qc.d)
-    return buf
+    width = bit_budget(qc.d) - 1 - 2 * qc.d
+    rank = lattice_enumerator(qc.d).rank(qc.magnitudes)
+    bits = ([msg.reward_bit] + [1 if s > 0 else 0 for s in qc.signs.tolist()]
+            + [1 if e > 0 else 0 for e in qc.sq_errors.tolist()]
+            + [(rank >> i) & 1 for i in reversed(range(width))])
+    value = 0
+    for bit in bits:
+        value = (value << 1) | bit
+    return BitBuffer(value, len(bits))
 
 
 def reference_decode(buf: BitBuffer, d: int):
-    """(reward bit, signs, magnitudes, sq_errors), one BitBuffer.read per bit."""
-    reward_bit = buf.read(1)
-    signs = np.array([1 if buf.read(1) else -1 for _ in range(d)], dtype=np.int8)
+    """(reward bit, signs, magnitudes, sq_errors), shifted out one bit at a time."""
+    bits = [(buf.value >> i) & 1 for i in reversed(range(len(buf)))]  # MSB first
+    signs = np.array([1 if b else -1 for b in bits[1:d + 1]], dtype=np.int8)
     m = magnitude_scale(d)
-    sq_errors = np.array([(3.0 / m) if buf.read(1) else (-3.0 / m) for _ in range(d)])
-    magnitudes = lattice_enumerator(d).unrank(buf.read(bit_budget(d) - 1 - 2 * d))
-    return reward_bit, signs, magnitudes, sq_errors
+    sq_errors = np.array([(3.0 / m) if b else (-3.0 / m) for b in bits[d + 1:2 * d + 1]])
+    rank = 0
+    for bit in bits[2 * d + 1:]:
+        rank = (rank << 1) | bit
+    return bits[0], signs, lattice_enumerator(d).unrank(rank), sq_errors
 
 
 class TestBitBuffer:
-    def test_write_read_roundtrip(self):
+    def test_value_and_length_roundtrip(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
-            buf = BitBuffer()
-            fields = []
-            for _ in range(rng.integers(1, 12)):
-                width = int(rng.integers(1, 40))
-                value = int(rng.integers(0, 1 << width))
-                buf.write(value, width)
-                fields.append((value, width))
-            assert len(buf) == sum(w for _, w in fields)
-            for value, width in fields:
-                assert buf.read(width) == value
+            nbits = int(rng.integers(0, 300))
+            value = int.from_bytes(rng.bytes(40), "big") >> (320 - nbits)
+            back = BitBuffer.from_bytes(BitBuffer(value, nbits).to_bytes(), nbits)
+            assert (back.value, len(back)) == (value, nbits)
 
     def test_msb_first_framing(self):
-        buf = BitBuffer()
-        buf.write(1, 1)
-        buf.write(0b10, 2)
-        assert buf.to_bytes() == bytes([0b11000000])
+        assert BitBuffer(0b110, 3).to_bytes() == bytes([0b11000000])
 
     def test_padding_is_zero(self):
-        buf = BitBuffer()
-        buf.write(0b1011, 4)
-        (byte,) = buf.to_bytes()
+        (byte,) = BitBuffer(0b1011, 4).to_bytes()
         assert byte == 0b10110000
 
     def test_bytes_roundtrip(self):
-        buf = BitBuffer()
-        buf.write(0b101, 3)
-        buf.write(0x5AC3, 16)
+        buf = BitBuffer((0b101 << 16) | 0x5AC3, 19)
+        assert buf.to_bytes() == b"\xab\x58\x60"
         back = BitBuffer.from_bytes(buf.to_bytes(), len(buf))
-        assert back.read(3) == 0b101
-        assert back.read(16) == 0x5AC3
+        assert (back.value, len(back)) == ((0b101 << 16) | 0x5AC3, 19)
+        assert BitBuffer(0, 0).to_bytes() == b""
 
     def test_from_bytes_length_check(self):
         with pytest.raises(MessageCodecError):
@@ -107,19 +98,10 @@ class TestBitBuffer:
         with pytest.raises(MessageCodecError, match="padding"):
             BitBuffer.from_bytes(b"\x00\x01", 9)
 
-    def test_read_past_end_raises(self):
-        buf = BitBuffer()
-        buf.write(3, 2)
-        buf.read(2)
-        with pytest.raises(MessageCodecError):
-            buf.read(1)
-
-    def test_write_validation(self):
-        buf = BitBuffer()
-        with pytest.raises(ValueError):
-            buf.write(4, 2)  # does not fit
-        with pytest.raises(ValueError):
-            buf.write(-1, 2)
+    def test_range_check(self):
+        for value, nbits in ((4, 2), (-1, 2), (0, -1)):
+            with pytest.raises(ValueError, match="does not fit"):
+                BitBuffer(value, nbits)
 
 
 class TestLatticeEnumerator:
@@ -236,10 +218,8 @@ class TestKnownMessageCodec:
             decode_known(BitBuffer.from_bytes(b"\x81", 1))
 
     def test_wrong_length_rejected(self):
-        buf = BitBuffer()
-        buf.write(0b10, 2)
         with pytest.raises(MessageCodecError):
-            decode_known(buf)
+            decode_known(BitBuffer(0b10, 2))
 
 
 class TestUnknownMessageCodec:
@@ -335,7 +315,5 @@ class TestUnknownMessageCodec:
             assert g.tobytes() == want.tobytes()
 
     def test_wrong_length_rejected(self):
-        buf = BitBuffer()
-        buf.write(0, 4)
         with pytest.raises(MessageCodecError):
-            decode_unknown(buf, 1)
+            decode_unknown(BitBuffer(0, 4), 1)

@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from bitbandit.cli import main as cli_main
 from bitbandit.env import RegretTrace
 from bitbandit.harness import (
     _NET_POINTS_LIMIT,
+    _ROUNDS_LIMIT,
     _XSTAR_SAMPLES_LIMIT,
     ConfigValidationError,
     config_to_dict,
@@ -228,6 +230,22 @@ class TestConfigParsing:
             assert cli_main(["run", str(cfg_path), "--output-dir",
                              str(tmp_path / f"out{value}")]) == code
             assert (f"algorithm.{key} must be" in capsys.readouterr().err) == (code == 2)
+
+    @pytest.mark.parametrize("seeds", [[0], [0, 1]])
+    def test_rounds_stop_at_their_limit(self, seeds, tmp_path, capsys):
+        horizon = _ROUNDS_LIMIT // len(seeds)  # horizon + 1 is one round over with one seed
+        cfg = parse_config(make_config(environment__horizon=horizon, seeds=seeds))
+        assert cfg.spec.horizon * len(cfg.seeds) == _ROUNDS_LIMIT
+        raw = make_config(environment__horizon=horizon + 1, seeds=seeds)
+        message = (f"environment.horizon {horizon + 1} x {len(seeds)} seeds is over "
+                   f"the limit of {_ROUNDS_LIMIT} rounds")
+        with pytest.raises(ConfigValidationError, match=re.escape(message)):
+            parse_config(raw)
+        cfg_path = tmp_path / "long.yaml"
+        with open(cfg_path, "w") as fh:
+            yaml.safe_dump(raw, fh)
+        assert cli_main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_huge_net_is_a_config_error_before_the_net_is_built(self, tmp_path, capsys):
         cfg_path = tmp_path / "huge.yaml"

@@ -365,7 +365,8 @@ class TestLinUcb:
 
     def test_solve_gufuncs_are_where_numpy_keeps_them(self):
         solve, solve1 = known._umath_linalg.solve, known._umath_linalg.solve1
-        where = "numpy.linalg._umath_linalg, which LinUcb.select calls directly,"
+        where = ("numpy.linalg._umath_linalg, which LinUcb.select and "
+                 "unknown._lu_solve call directly,")
         assert solve.signature == "(m,m),(m,n)->(m,n)", f"{where} moved solve"
         assert solve1.signature == "(m,m),(m)->(m)", f"{where} moved solve1"
         assert "dd->d" in solve.types and "dd->d" in solve1.types, f"{where} lost dd->d"

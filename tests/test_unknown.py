@@ -4,6 +4,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitbandit import env as environment
 from bitbandit.codec import bit_budget
@@ -167,6 +169,61 @@ class TestSolver:
         assert state.t == 1000 and state.pinv_fallbacks == 0
         np.testing.assert_allclose(state.theta_hat, np.linalg.solve(state.v_tilde, state.u),
                                    rtol=0, atol=1e-12)
+
+
+def parent_solve_rule(v, u):
+    """theta and whether it fell back, by the rule as it stood on np.linalg.solve:
+    LU on [u | sin(1..d)], falling back to pinv(v) u when LU raises LinAlgError,
+    returns a non-finite value or estimates cond_1(v) above 1e8."""
+    probe = np.sin(np.arange(1.0, u.size + 1))
+    rhs = np.empty((u.size, 2))
+    rhs[:, 0] = u
+    rhs[:, 1] = probe
+    try:
+        sol = np.linalg.solve(v, rhs)
+    except np.linalg.LinAlgError:
+        sol = None
+    if sol is not None:
+        cond = np.linalg.norm(v, 1) * np.abs(sol[:, 1]).sum() / np.abs(probe).sum()
+        if np.isfinite(sol).all() and cond <= 1e8:
+            return sol[:, 0], False
+    return np.linalg.pinv(v) @ u, True
+
+
+class TestSolveRule:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 64).flatmap(lambda d: st.tuples(
+               st.just(d), st.integers(1, d), st.integers(d, d + 8))),
+           st.sampled_from(["full", "coordinates", "subspace", "nearly-singular"]),
+           st.integers(0, 2**32 - 1))
+    def test_every_update_matches_the_parent_rule_bit_for_bit(self, shape, kind, seed):
+        """theta_hat and pinv_fallbacks equal the np.linalg.solve rule's after every
+        update, on Gram matrices of full rank, confined to a coordinate subspace
+        (exactly singular), to a random subspace, or with one tiny direction."""
+        d, rank, rounds = shape
+        rng = np.random.default_rng(seed)
+        basis = {"full": np.eye(d), "coordinates": np.eye(d)[:rank],
+                 "subspace": rng.standard_normal((rank, d)),
+                 "nearly-singular": rng.standard_normal((d, d))}[kind]
+        if kind == "nearly-singular":  # estimated cond_1 on either side of 1e8
+            basis[-1] *= 10.0 ** rng.uniform(-5.0, -1.0)
+        state = new_learner_state(d, solve_min_rounds=1)
+        v, u, fallbacks = np.zeros((d, d)), np.zeros(d), 0
+        for _ in range(rounds):
+            x = rng.uniform(-1.0, 1.0, basis.shape[0]) @ basis / np.sqrt(d)
+            xsq = x * x
+            if kind in ("full", "coordinates"):  # squares apart from x * x, as xsq_hat's are
+                xsq *= rng.uniform(0.5, 1.5, d)
+            bit = int(rng.integers(0, 2))
+            apply_update(state, bit, x, xsq)
+            outer = np.outer(x, x)
+            np.fill_diagonal(outer, xsq)
+            v += outer
+            u += (2.0 * bit - 1.0) * x
+            theta, fell_back = parent_solve_rule(v, u)
+            fallbacks += fell_back
+            assert state.theta_hat.tobytes() == theta.tobytes()
+            assert state.pinv_fallbacks == fallbacks
 
 
 class TestPilotExcitationCheck:
