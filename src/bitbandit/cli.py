@@ -28,7 +28,7 @@ from .harness import (
     summarize,
     write_summary_csv,
 )
-from .quantizer import QuantizedContext, magnitude_scale
+from .quantizer import QuantizedContext
 
 
 def _load(path):
@@ -75,17 +75,14 @@ def _cmd_summarize(args) -> int:
 
 def _message_roundtrip_ok(d: int, rng: random.Random) -> bool:
     """Encode, frame and parse one random d-dimensional message; True if it is unchanged."""
-    enum, m = lattice_enumerator(d), magnitude_scale(d)
-    sent = UnknownMessage(reward_bit=rng.randrange(2), context=QuantizedContext(
-        signs=np.array([rng.choice((-1, 1)) for _ in range(d)], dtype=np.int8),
-        magnitudes=enum.unrank(rng.randrange(enum.size)),
-        sq_errors=np.array([rng.choice((-3.0, 3.0)) / m for _ in range(d)]), m=m))
+    enum = lattice_enumerator(d)
+    bits = np.array([rng.randrange(2) for _ in range(2 * d)], dtype=bool)
+    sent = UnknownMessage(rng.randrange(2), QuantizedContext(
+        bits[:d], enum.unrank(rng.randrange(enum.size)), bits[d:]))
     buf = encode_unknown(sent)
     got = decode_unknown(BitBuffer.from_bytes(buf.to_bytes(), len(buf)), d)
     return len(buf) == bit_budget(d) and got.reward_bit == sent.reward_bit and all(
-        a.dtype == b.dtype and np.array_equal(a, b)
-        for a, b in ((getattr(got.context, f), getattr(sent.context, f))
-                     for f in ("signs", "magnitudes", "sq_errors")))
+        a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got.context, sent.context))
 
 
 def _cmd_codec_selftest(args) -> int:

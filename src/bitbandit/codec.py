@@ -14,17 +14,21 @@ Wire format (documented in docs/PROTOCOL.md, frozen by golden-byte tests):
   happens only when a message is framed into bytes; bit lengths are always
   accounted unpadded.  A message is the integer whose bits are these fields
   in order, and a BitBuffer frames that integer with its bit length.
+
+The codec moves bits only: decode_unknown returns the sign and square bits as
+sent, and quantizer.reconstruct_context maps them to +-1 and +-3/m.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .quantizer import QuantizedContext, context_grid, magnitude_scale
+from .quantizer import QuantizedContext
 
 __all__ = [
     "MessageCodecError",
@@ -34,7 +38,6 @@ __all__ = [
     "LatticeEnumerator",
     "lattice_enumerator",
     "bit_budget",
-    "KnownMessage",
     "UnknownMessage",
     "encode_known",
     "decode_known",
@@ -55,10 +58,19 @@ class LatticeMembershipError(ValueError):
 # message frame
 # --------------------------------------------------------------------------
 
+def _integer(value, name: str) -> int:
+    """``value`` as a Python int, through operator.index; a ValueError naming it otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 class BitBuffer:
     """A message frame: one integer and its bit length, MSB-first on the wire."""
 
     def __init__(self, value: int, nbits: int):
+        value, nbits = _integer(value, "frame value"), _integer(nbits, "frame length")
         if nbits < 0 or not 0 <= value < (1 << nbits):
             raise ValueError(f"value {value} does not fit in {nbits} bits")
         self.value = value
@@ -177,70 +189,57 @@ def bit_budget(d: int) -> int:
 # messages
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KnownMessage:
-    """Uplink payload when the context distribution is known: one reward bit."""
-
-    reward_bit: int
-
-    def __post_init__(self):
-        if self.reward_bit not in (0, 1):
-            raise ValueError(f"reward bit must be 0 or 1, got {self.reward_bit}")
+def _reward_bit(bit) -> int:
+    """The reward bit as a Python int, the one check of it before it enters a frame."""
+    bit = _integer(bit, "reward bit")
+    if bit not in (0, 1):
+        raise ValueError(f"reward bit must be 0 or 1, got {bit}")
+    return bit
 
 
-@dataclass(frozen=True)
-class UnknownMessage:
+class UnknownMessage(NamedTuple):
     """Uplink payload when the context distribution is unknown."""
 
     reward_bit: int
     context: QuantizedContext
 
-    def __post_init__(self):
-        if self.reward_bit not in (0, 1):
-            raise ValueError(f"reward bit must be 0 or 1, got {self.reward_bit}")
+
+def encode_known(bit) -> BitBuffer:
+    """Frame a known-distribution message, the reward bit alone: exactly one bit."""
+    return BitBuffer(_reward_bit(bit), 1)
 
 
-def encode_known(msg: KnownMessage) -> BitBuffer:
-    """Serialize a known-distribution message: exactly one bit."""
-    return BitBuffer(msg.reward_bit, 1)
-
-
-def decode_known(buf: BitBuffer) -> KnownMessage:
-    """Parse a known-distribution message; the buffer must hold exactly 1 bit."""
+def decode_known(buf: BitBuffer) -> int:
+    """The reward bit of a known-distribution frame, which must hold exactly 1 bit."""
     if len(buf) != 1:
         raise MessageCodecError(f"known message is 1 bit, buffer has {len(buf)}")
-    return KnownMessage(reward_bit=buf.value)
+    return buf.value
 
 
 def encode_unknown(msg: UnknownMessage) -> BitBuffer:
     """Serialize an unknown-distribution message into exactly bit_budget(d) bits."""
     qc = msg.context
-    d = qc.d
+    d = qc.magnitudes.size
     # sign and square bits as one 2d-bit field; packbits zero-pads to whole bytes
-    packed = np.packbits(np.concatenate((qc.signs, qc.sq_errors)) > 0.0)
+    packed = np.packbits(np.concatenate((qc.sign_bits, qc.square_bits)))
     field = int.from_bytes(packed.tobytes(), "big") >> (-2 * d % 8)
     enum = lattice_enumerator(d)
-    # int(): a NumPy integer reward bit would wrap once shifted past 64 bits
-    value = (((int(msg.reward_bit) << 2 * d) | field) << enum.width) | enum.rank(qc.magnitudes)
-    return BitBuffer(value, 1 + 2 * d + enum.width)
+    head = (_reward_bit(msg.reward_bit) << 2 * d) | field
+    return BitBuffer((head << enum.width) | enum.rank(qc.magnitudes), bit_budget(d))
 
 
 def decode_unknown(buf: BitBuffer, d: int) -> UnknownMessage:
     """Parse an unknown-distribution message for dimension ``d``."""
-    enum = lattice_enumerator(d)
-    if len(buf) != 1 + 2 * d + enum.width:  # the three fields split below
+    if len(buf) != bit_budget(d):
         raise MessageCodecError(
             f"unknown message for d={d} is {bit_budget(d)} bits, buffer has {len(buf)}"
         )
+    enum = lattice_enumerator(d)
     head, rank = divmod(buf.value, 1 << enum.width)
     reward_bit, field = divmod(head, 1 << 2 * d)
     # the 2d-bit sign and square field, left-aligned in whole bytes as packbits
-    # left it, then one 0/1 byte per bit
+    # left it, then one bool per bit
     field <<= -2 * d % 8
-    bits = np.unpackbits(np.frombuffer(field.to_bytes((2 * d + 7) // 8, "big"), np.uint8))
-    magnitudes = enum.unrank(rank)  # raises past the lattice's end
-    m = magnitude_scale(d)
-    grid = context_grid(m)
-    qc = QuantizedContext(signs=grid.signs.take(bits[:d]), magnitudes=magnitudes,
-                          sq_errors=grid.squares.take(bits[d:2 * d]), m=m)
-    return UnknownMessage(reward_bit=reward_bit, context=qc)
+    packed = np.frombuffer(field.to_bytes((2 * d + 7) // 8, "big"), np.uint8)
+    bits = np.unpackbits(packed).view(bool)
+    return UnknownMessage(reward_bit, QuantizedContext(bits[:d], enum.unrank(rank), bits[d:2 * d]))

@@ -43,6 +43,7 @@ __all__ = [
     "realize_reward",
     "reward_of",
     "regret_gap",
+    "regret_step",
     "TRACE_FIELDS",
     "write_table",
     "read_table",
@@ -470,8 +471,8 @@ class RegretTrace:
         return len(self.inst_regret)
 
     def record(self, inst: float, bits: int) -> None:
-        if inst < -_TOL:
-            raise ValueError(f"negative instantaneous regret {inst}")
+        if not -_TOL <= inst < math.inf:  # NaN fails too
+            raise ValueError(f"instantaneous regret must be finite and nonnegative, got {inst}")
         prev = self.cum_regret[-1] if self.cum_regret else 0.0
         self.inst_regret.append(inst)
         self.cum_regret.append(prev + inst)
@@ -493,11 +494,20 @@ class RegretTrace:
 
     @classmethod
     def read_csv(cls, path) -> "RegretTrace":
+        """A trace as write_csv wrote it, each row fed through record(); a row that is
+        not the next round, or whose cum_regret is not record's running sum, is a
+        ValueError naming the file and line."""
         trace = cls(seed=-1)
-        for row in read_table(path, TRACE_FIELDS):
-            trace.inst_regret.append(row["inst_regret"])
-            trace.cum_regret.append(row["cum_regret"])
-            trace.bits.append(row["bits"])
+        for line, row in enumerate(read_table(path, TRACE_FIELDS), start=2):
+            try:
+                if row["t"] != len(trace) + 1:
+                    raise ValueError(f"round {row['t']} where round {len(trace) + 1} belongs")
+                trace.record(row["inst_regret"], row["bits"])
+                if row["cum_regret"] != trace.total_regret:  # exact: floats go as their repr
+                    raise ValueError(f"cum_regret {row['cum_regret']!r} is not the running "
+                                     f"sum {trace.total_regret!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {line}: {exc}") from None
         return trace
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg  # np.linalg.solve's own gufuncs; see ROADMAP.md
 
 from . import env as environment
-from .codec import BitBuffer, KnownMessage, decode_known, encode_known
+from .codec import BitBuffer, decode_known, encode_known
 from .env import EnvironmentSpec, RegretTrace
 from .env import regret_step  # noqa: F401  the layer name bench/child.py times here
 from .quantizer import StochasticQuantizer
@@ -247,8 +247,9 @@ class LinUcb:
 
     def __init__(self, actions, lam: float = 1.0):
         self.actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        if self.actions.shape[0] < 1:
-            raise ValueError("need at least one action")
+        if min(self.actions.shape) < 1:  # atleast_2d makes [] and [[]] shape (1, 0)
+            raise ValueError(f"need at least one action, got a menu of shape "
+                             f"{self.actions.shape}")
         self.n, self.d = self.actions.shape
         if not (math.isfinite(lam) and lam > 0):
             raise ValueError(f"ridge parameter must be positive and finite, got {lam}")
@@ -307,28 +308,19 @@ class LinUcb:
 # the simulation loop and the one-bit channel
 # --------------------------------------------------------------------------
 
-def _one_bit_wire():
-    """The codec's frame of each reward bit, and what the codec parses each frame
-    back to: the learner's input and the message's length in bits."""
-    frames, received = [], {}
-    for bit in (0, 1):
-        buf = encode_known(KnownMessage(reward_bit=bit))
-        frames.append(buf.to_bytes())
-        msg = decode_known(BitBuffer.from_bytes(frames[-1], len(buf)))
-        received[frames[-1]] = ((msg.reward_bit,), len(buf))
-    return tuple(frames), received
+def _one_bit_wire(bit: int):
+    """What the learner receives for a reward bit, and the bits sent: the codec's
+    frame of that bit, parsed back."""
+    buf = encode_known(bit)
+    return (decode_known(BitBuffer.from_bytes(buf.to_bytes(), len(buf))),), len(buf)
 
 
-_ONE_BIT_FRAMES, _ONE_BIT_RECEIVED = _one_bit_wire()
+_ONE_BIT_WIRE = (_one_bit_wire(0), _one_bit_wire(1))  # the whole message space, made once
 
 
 def one_bit_channel(x: np.ndarray, r: float, quant_rng: np.random.Generator):
-    """The reward rounded to one bit, framed to bytes and parsed back; x stays put.
-
-    The message space has two elements, so both frames and their parses are
-    the codec's own, made once at import.
-    """
-    return _ONE_BIT_RECEIVED[_ONE_BIT_FRAMES[REWARD_BIT.encode(r, quant_rng)]]
+    """The reward rounded to one bit, framed to bytes and parsed back; x stays put."""
+    return _ONE_BIT_WIRE[REWARD_BIT.encode(r, quant_rng)]
 
 
 def seed_streams(seed: int) -> tuple[np.random.Generator, ...]:

@@ -148,25 +148,19 @@ def context_grid(m: int) -> ContextGrid:
     return grid
 
 
-@dataclass(frozen=True)
-class QuantizedContext:
-    """Compressed representation of one played context vector.
+class QuantizedContext(NamedTuple):
+    """One played context vector as the bits the agent sends; reconstruct_context
+    alone maps them to values, with m = magnitude_scale(d) and d = magnitudes.size.
 
-    signs       -- length-d array of +1/-1 (sign of each coordinate, +1 at 0)
-    magnitudes  -- length-d int array, stochastic rounding of m*|x|, ||.||_1 <= 2d
-    sq_errors   -- length-d array with entries in {-3/m, +3/m}, the one-bit
-                   quantization of x^2 - xhat^2
-    m           -- magnitude grid resolution, ceil(sqrt(d))
+    sign_bits    -- length-d bool array, True where x >= 0 (a zero coordinate is +1)
+    magnitudes   -- length-d int array, stochastic rounding of m*|x|, ||.||_1 <= 2d
+    square_bits  -- length-d bool array, the one-bit quantization of x^2 - xhat^2
+                    onto {-3/m, +3/m}, True for +3/m
     """
 
-    signs: np.ndarray
+    sign_bits: np.ndarray
     magnitudes: np.ndarray
-    sq_errors: np.ndarray
-    m: int
-
-    @property
-    def d(self) -> int:
-        return self.signs.size
+    square_bits: np.ndarray
 
 
 def _enforce_l1_budget(levels: np.ndarray, scaled: np.ndarray, budget: int) -> np.ndarray:
@@ -211,11 +205,10 @@ def quantize_context(x, rng: np.random.Generator) -> QuantizedContext:
     norm = math.sqrt(float(x @ x))
     if not norm <= 1.0 + _BOUNDARY_TOL:  # NaN fails too
         raise AssumptionViolation(f"context norm {norm} exceeds 1")
-    m = magnitude_scale(d)
-    grid = context_grid(m)
+    grid = context_grid(magnitude_scale(d))
     uniforms = rng.random(2 * d)
 
-    signs = grid.signs.take(x >= 0.0)
+    sign_bits = x >= 0.0
     scaled = np.minimum(grid.m * np.abs(x), grid.m)
     magnitudes = _enforce_l1_budget(_round(scaled, uniforms[:d]), scaled, 2 * d)
 
@@ -228,12 +221,14 @@ def quantize_context(x, rng: np.random.Generator) -> QuantizedContext:
         raise QuantizationRangeError(
             f"input {err[bad]} at position {bad} outside [{-bound}, {bound}]"
         )
-    sq_errors = grid.squares.take(uniforms[d:] < (err + grid.bound) * grid.inv_width)
-    return QuantizedContext(signs=signs, magnitudes=magnitudes, sq_errors=sq_errors, m=m)
+    square_bits = uniforms[d:] < (err + grid.bound) * grid.inv_width
+    return QuantizedContext(sign_bits, magnitudes, square_bits)
 
 
 def reconstruct_context(qc: QuantizedContext) -> tuple[np.ndarray, np.ndarray]:
-    """Unbiased estimates (xhat, xsq_hat) of the context and its elementwise square."""
-    xhat = qc.signs * qc.magnitudes / context_grid(qc.m).m
-    xsq_hat = xhat * xhat + qc.sq_errors
+    """Unbiased estimates (xhat, xsq_hat) of the context and its elementwise square,
+    the bits looked up in the ContextGrid's tables."""
+    grid = context_grid(magnitude_scale(qc.magnitudes.size))
+    xhat = grid.signs.take(qc.sign_bits) * qc.magnitudes / grid.m
+    xsq_hat = xhat * xhat + grid.squares.take(qc.square_bits)
     return xhat, xsq_hat

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bitbandit.codec import (
     BitBuffer,
-    KnownMessage,
+    LatticeEnumerator,
     LatticeMembershipError,
     MessageCodecError,
     UnknownMessage,
@@ -22,7 +22,7 @@ from bitbandit.codec import (
     lattice_enumerator,
     q_size,
 )
-from bitbandit.quantizer import QuantizedContext, magnitude_scale, quantize_context
+from bitbandit.quantizer import QuantizedContext, quantize_context
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -40,10 +40,11 @@ def lattice_vectors(draw):
 def reference_encode(msg: UnknownMessage) -> BitBuffer:
     """The unknown-message layout of docs/PROTOCOL.md, shifted in one bit at a time."""
     qc = msg.context
-    width = bit_budget(qc.d) - 1 - 2 * qc.d
-    rank = lattice_enumerator(qc.d).rank(qc.magnitudes)
-    bits = ([msg.reward_bit] + [1 if s > 0 else 0 for s in qc.signs.tolist()]
-            + [1 if e > 0 else 0 for e in qc.sq_errors.tolist()]
+    d = qc.magnitudes.size
+    width = bit_budget(d) - 1 - 2 * d
+    rank = lattice_enumerator(d).rank(qc.magnitudes)
+    bits = ([msg.reward_bit] + [1 if s else 0 for s in qc.sign_bits.tolist()]
+            + [1 if e else 0 for e in qc.square_bits.tolist()]
             + [(rank >> i) & 1 for i in reversed(range(width))])
     value = 0
     for bit in bits:
@@ -52,15 +53,14 @@ def reference_encode(msg: UnknownMessage) -> BitBuffer:
 
 
 def reference_decode(buf: BitBuffer, d: int):
-    """(reward bit, signs, magnitudes, sq_errors), shifted out one bit at a time."""
+    """(reward bit, sign bits, magnitudes, square bits), shifted out one bit at a time."""
     bits = [(buf.value >> i) & 1 for i in reversed(range(len(buf)))]  # MSB first
-    signs = np.array([1 if b else -1 for b in bits[1:d + 1]], dtype=np.int8)
-    m = magnitude_scale(d)
-    sq_errors = np.array([(3.0 / m) if b else (-3.0 / m) for b in bits[d + 1:2 * d + 1]])
+    sign_bits = np.array([b == 1 for b in bits[1:d + 1]])
+    square_bits = np.array([b == 1 for b in bits[d + 1:2 * d + 1]])
     rank = 0
     for bit in bits[2 * d + 1:]:
         rank = (rank << 1) | bit
-    return bits[0], signs, lattice_enumerator(d).unrank(rank), sq_errors
+    return bits[0], sign_bits, lattice_enumerator(d).unrank(rank), square_bits
 
 
 class TestBitBuffer:
@@ -101,6 +101,14 @@ class TestBitBuffer:
     def test_range_check(self):
         for value, nbits in ((4, 2), (-1, 2), (0, -1)):
             with pytest.raises(ValueError, match="does not fit"):
+                BitBuffer(value, nbits)
+
+    def test_takes_any_integer_and_refuses_the_rest(self):
+        buf = BitBuffer(np.int64(5), np.uint8(3))
+        assert type(buf.value) is int and len(buf) == 3 and buf.to_bytes() == b"\xa0"
+        for value, nbits, name in ((1.0, 1, "frame value"), (np.float64(1), 1, "frame value"),
+                                   ("1", 1, "frame value"), (1, 1.0, "frame length")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 BitBuffer(value, nbits)
 
 
@@ -170,6 +178,8 @@ class TestLatticeEnumerator:
             enum.rank(np.array([-1, 0, 0]))
         with pytest.raises(ValueError):
             enum.rank(np.array([1, 2]))  # wrong length
+        with pytest.raises(ValueError, match="lattice vectors are integer, got dtype float64"):
+            enum.rank(np.array([1.0, 2.0, 0.0]))
 
     def test_unrank_range_check(self):
         enum = lattice_enumerator(2)
@@ -193,27 +203,34 @@ class TestBitBudget:
     def test_q_size_validation(self):
         with pytest.raises(ValueError):
             q_size(0)
+        with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+            LatticeEnumerator(0)
 
 
-class TestKnownMessageCodec:
-    def test_reward_bit_validation(self):
-        with pytest.raises(ValueError):
-            KnownMessage(reward_bit=2)
+class TestKnownCodec:
+    @pytest.mark.parametrize("bit, fragment", [(2, "must be 0 or 1"), (-1, "must be 0 or 1"),
+                                               (0.5, "must be an integer"),
+                                               (1.0, "must be an integer")])
+    def test_reward_bit_validation(self, bit, fragment):
+        with pytest.raises(ValueError, match=f"reward bit {fragment}"):
+            encode_known(bit)
+
+    def test_numpy_integer_bit_frames(self):
+        assert encode_known(np.int64(1)).to_bytes() == b"\x80"
+        assert encode_known(np.uint8(0)).to_bytes() == b"\x00"
 
     def test_exactly_one_bit(self):
         for bit in (0, 1):
-            buf = encode_known(KnownMessage(reward_bit=bit))
+            buf = encode_known(bit)
             assert len(buf) == 1
-            assert decode_known(
-                BitBuffer.from_bytes(buf.to_bytes(), 1)
-            ).reward_bit == bit
+            assert decode_known(BitBuffer.from_bytes(buf.to_bytes(), 1)) == bit
 
     def test_golden_byte(self):
-        assert encode_known(KnownMessage(reward_bit=1)).to_bytes() == b"\x80"
-        assert encode_known(KnownMessage(reward_bit=0)).to_bytes() == b"\x00"
+        assert encode_known(1).to_bytes() == b"\x80"
+        assert encode_known(0).to_bytes() == b"\x00"
 
     def test_nonzero_padding_rejected(self):
-        assert decode_known(BitBuffer.from_bytes(b"\x80", 1)).reward_bit == 1
+        assert decode_known(BitBuffer.from_bytes(b"\x80", 1)) == 1
         with pytest.raises(MessageCodecError, match="padding"):
             decode_known(BitBuffer.from_bytes(b"\x81", 1))
 
@@ -224,17 +241,15 @@ class TestKnownMessageCodec:
 
 class TestUnknownMessageCodec:
     @staticmethod
-    def _context(signs, magnitudes, sq_signs, m):
-        return QuantizedContext(
-            signs=np.asarray(signs, dtype=np.int8),
-            magnitudes=np.asarray(magnitudes, dtype=np.int64),
-            sq_errors=np.asarray(sq_signs, dtype=float) * (3.0 / m),
-            m=m,
-        )
+    def _context(signs, magnitudes, sq_signs):
+        """The bits of +-1 signs and of square errors of sign +-1."""
+        return QuantizedContext(sign_bits=np.asarray(signs) > 0,
+                                magnitudes=np.asarray(magnitudes, dtype=np.int64),
+                                square_bits=np.asarray(sq_signs) > 0)
 
     def test_golden_bytes_d1(self):
         # 1 | 1 | 1 | 10  ->  0b11110000
-        msg = UnknownMessage(reward_bit=1, context=self._context([1], [2], [1], 1))
+        msg = UnknownMessage(reward_bit=1, context=self._context([1], [2], [1]))
         buf = encode_unknown(msg)
         assert len(buf) == bit_budget(1) == 5
         assert buf.to_bytes() == b"\xf0"
@@ -255,7 +270,7 @@ class TestUnknownMessageCodec:
         # 0 | 10 | 01 | 0111  ->  0b01001011, 0b10000000; rank((1,2)) = 7
         assert lattice_enumerator(2).rank(np.array([1, 2])) == 7
         msg = UnknownMessage(
-            reward_bit=0, context=self._context([1, -1], [1, 2], [-1, 1], 2)
+            reward_bit=0, context=self._context([1, -1], [1, 2], [-1, 1])
         )
         buf = encode_unknown(msg)
         assert len(buf) == bit_budget(2) == 9
@@ -273,10 +288,9 @@ class TestUnknownMessageCodec:
                 assert len(buf) == bit_budget(d)
                 out = decode_unknown(BitBuffer.from_bytes(buf.to_bytes(), len(buf)), d)
                 assert out.reward_bit == bit
-                np.testing.assert_array_equal(out.context.signs, qc.signs)
-                np.testing.assert_array_equal(out.context.magnitudes, qc.magnitudes)
-                np.testing.assert_allclose(out.context.sq_errors, qc.sq_errors)
-                assert out.context.m == qc.m
+                for got, sent in zip(out.context, qc):
+                    assert got.dtype == sent.dtype
+                    np.testing.assert_array_equal(got, sent)
 
     @PROPERTY
     @given(lattice_vectors(), st.data())
@@ -285,14 +299,14 @@ class TestUnknownMessageCodec:
         signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=d, max_size=d))
         sq_signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=d, max_size=d))
         bit = data.draw(st.integers(0, 1))
-        qc = self._context(signs, magnitudes, sq_signs, magnitude_scale(d))
+        qc = self._context(signs, magnitudes, sq_signs)
         buf = encode_unknown(UnknownMessage(reward_bit=bit, context=qc))
         assert len(buf) == bit_budget(d)
         out = decode_unknown(BitBuffer.from_bytes(buf.to_bytes(), len(buf)), d)
-        assert out.reward_bit == bit and out.context.m == qc.m
-        np.testing.assert_array_equal(out.context.signs, qc.signs)
+        assert out.reward_bit == bit
+        np.testing.assert_array_equal(out.context.sign_bits, qc.sign_bits)
         np.testing.assert_array_equal(out.context.magnitudes, qc.magnitudes)
-        np.testing.assert_array_equal(out.context.sq_errors, qc.sq_errors)
+        np.testing.assert_array_equal(out.context.square_bits, qc.square_bits)
 
     @PROPERTY
     @given(lattice_vectors(), st.data())
@@ -302,18 +316,23 @@ class TestUnknownMessageCodec:
         signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=d, max_size=d))
         sq_signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=d, max_size=d))
         msg = UnknownMessage(reward_bit=data.draw(st.integers(0, 1)),
-                             context=self._context(signs, magnitudes, sq_signs,
-                                                   magnitude_scale(d)))
+                             context=self._context(signs, magnitudes, sq_signs))
         wire = encode_unknown(msg).to_bytes()
         assert wire == reference_encode(msg).to_bytes()
         out = decode_unknown(BitBuffer.from_bytes(wire, bit_budget(d)), d)
         bit, *fields = reference_decode(BitBuffer.from_bytes(wire, bit_budget(d)), d)
         assert type(out.reward_bit) is int and out.reward_bit == bit
-        got = (out.context.signs, out.context.magnitudes, out.context.sq_errors)
-        for g, want, dtype in zip(got, fields, (np.int8, np.int64, np.float64)):
+        for g, want, dtype in zip(out.context, fields, (np.bool_, np.int64, np.bool_)):
             assert g.dtype == want.dtype == dtype
             assert g.tobytes() == want.tobytes()
 
     def test_wrong_length_rejected(self):
         with pytest.raises(MessageCodecError):
             decode_unknown(BitBuffer(0, 4), 1)
+
+    def test_reward_bit_is_checked_as_the_known_one(self):
+        qc = self._context([1], [2], [1])
+        assert encode_unknown(UnknownMessage(np.int64(1), qc)).to_bytes() == b"\xf0"
+        for bit, fragment in ((2, "must be 0 or 1"), (0.5, "must be an integer")):
+            with pytest.raises(ValueError, match=f"reward bit {fragment}"):
+                encode_unknown(UnknownMessage(bit, qc))

@@ -246,6 +246,13 @@ class TestRegretTrace:
         with pytest.raises(ValueError):
             trace.record(-0.1, bits=1)
 
+    @pytest.mark.parametrize("inst", [math.nan, math.inf])
+    def test_non_finite_regret_rejected(self, inst):
+        trace = RegretTrace(seed=0)
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {inst}"):
+            trace.record(inst, bits=1)
+        assert len(trace) == 0
+
     def test_regret_at_bounds(self):
         trace = RegretTrace(seed=0)
         trace.record(1.0, bits=1)
@@ -274,6 +281,16 @@ class TestRegretTrace:
         ("t,inst_regret,cum_regret,bits\n1,0.5,0.5,5\n2,0.5,1.0,5,7\n", "line 3", "longer"),
         ("t,inst_regret,cum_regret,bits\n1,0.5,0.5,five\n", "line 2", "'five'"),
         ("t,inst_regret,cum_regret,bits\n1,half,0.5,5\n", "line 2", "'half'"),
+        # rows record() would not keep, or whose sum is not the one it keeps
+        ("t,inst_regret,cum_regret,bits\n1,0.5,0.5,5\n3,0.25,0.75,5\n2,0.0,0.75,5\n",
+         "line 3", "round 3 where round 2 belongs"),
+        ("t,inst_regret,cum_regret,bits\n1,0.5,0.5,5\n2,-0.25,0.25,5\n", "line 3",
+         "nonnegative, got -0.25"),
+        ("t,inst_regret,cum_regret,bits\n1,0.5,0.5,5\n2,nan,nan,5\n", "line 3",
+         "nonnegative, got nan"),
+        ("t,inst_regret,cum_regret,bits\n1,inf,inf,5\n", "line 2", "nonnegative, got inf"),
+        ("t,inst_regret,cum_regret,bits\n1,0.5,0.5,5\n2,0.25,0.8,5\n", "line 3",
+         "0.8 is not the running sum 0.75"),
     ])
     def test_read_csv_names_the_file_and_line_of_a_problem(self, tmp_path, text, where,
                                                            detail):
@@ -304,3 +321,52 @@ class TestExcitationDiagnostic:
         played = np.tile(np.array([[1.0, 0.0]]), (20, 1))
         diag = assumption2_diagnostic(played, t0=2)
         assert diag.c == 0.0
+
+
+class TestTypedErrors:
+    """Each bad input a caller can hand the environment raises a ValueError naming it."""
+
+    @pytest.mark.parametrize("scale", [-0.5, math.nan])
+    def test_gaussian_scale_must_be_finite_and_nonnegative(self, scale):
+        with pytest.raises(ValueError, match="scales must be finite and nonnegative"):
+            GaussianProjected(scales=(1.0, scale))
+
+    @pytest.mark.parametrize("sigma", [-0.5, math.nan])
+    def test_truncated_gaussian_sigma_must_be_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            TruncatedGaussian(sigma=sigma)
+
+    @pytest.mark.parametrize("sigma, mu", [(0.0, 0.3), (0.2, 0.0), (0.2, 1.0)])
+    def test_truncated_gaussian_without_a_window_returns_the_mean(self, sigma, mu):
+        for u in (0.0, 0.5, 0.999):
+            assert TruncatedGaussian(sigma=sigma).reward(mu, u) == mu
+
+    def test_custom_support_and_probs_must_match_and_be_finite(self):
+        with pytest.raises(ValueError, match="action 0: support/probs shape mismatch"):
+            CustomDiscrete(supports=(np.array([[0.5], [0.1]]),), probs=(np.array([1.0]),))
+        with pytest.raises(ValueError, match="action 0: support and probs must be finite"):
+            CustomDiscrete(supports=(np.array([[np.inf]]),), probs=(np.array([1.0]),))
+
+    def test_custom_law_needs_one_support_table_per_action(self):
+        law = CustomDiscrete(supports=(np.array([[0.5]]),), probs=(np.array([1.0]),))
+        with pytest.raises(ValueError, match="one support table per action required"):
+            EnvironmentSpec(d=1, n_actions=2, theta_star=np.array([1.0]), context_model=law,
+                            noise_model=Bernoulli(), horizon=1)
+
+    def test_theta_star_must_be_finite(self):
+        with pytest.raises(ValueError, match="theta_star entries must be finite"):
+            binary_spec(theta=[math.nan])
+
+    def test_theta_star_norm_is_checked_past_its_entries(self):
+        with pytest.raises(ValueError, match=r"\|\|theta_star\|\| = 1.13137 exceeds 1"):
+            EnvironmentSpec(d=2, n_actions=1, theta_star=np.array([0.8, 0.8]),
+                            context_model=BinarySupport(p_minus=(0.5,)),
+                            noise_model=Bernoulli(), horizon=1)
+
+    @pytest.mark.parametrize("played, fragment", [
+        (np.zeros(3), r"expected \(t, d\) history, got shape \(3,\)"),
+        (np.zeros((0, 2)), "empty history"),
+    ])
+    def test_excitation_diagnostic_needs_a_history(self, played, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            assumption2_diagnostic(played, t0=1)

@@ -90,6 +90,16 @@ class TestConfigParsing:
         for fragment in ("schema", "mystery", "seeds", "output_dir"):
             assert fragment in text
 
+    def test_empty_yaml_is_not_a_mapping(self, tmp_path):
+        path = tmp_path / "empty.yaml"
+        path.write_text("")
+        with pytest.raises(ConfigValidationError, match="config root must be a mapping"):
+            load_config(path)
+
+    def test_a_section_that_is_not_a_mapping(self):
+        with pytest.raises(ConfigValidationError, match="environment must be a mapping, got 3"):
+            parse_config(make_config(environment=3))
+
     def test_unknown_algorithm_key_rejected(self):
         raw = make_config()
         raw["algorithm"]["learning_rate"] = 0.1
@@ -427,6 +437,10 @@ class TestSummaries:
         with pytest.raises(ValueError, match="length"):
             summarize([t1, t2])
 
+    def test_summarize_needs_a_trace(self):
+        with pytest.raises(ValueError, match="no traces to summarize"):
+            summarize([])
+
     def test_summarize_rejects_bad_checkpoints(self):
         t1 = self._trace([1.0, 1.0], bits=1)
         with pytest.raises(ValueError, match="checkpoints"):
@@ -511,6 +525,21 @@ class TestCli:
                          "-o", str(tmp_path / "resummary.csv")])
         assert code == 2
         assert f"{bad}, {fragment}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, fragment", [
+        ("1,0.5,0.5,5\n3,0.25,0.75,5\n2,0.0,0.75,5\n", "line 3: round 3 where round 2"),
+        ("1,0.5,0.5,5\n2,-0.25,0.25,5\n", "line 3: instantaneous regret must be"),
+        ("1,nan,nan,5\n", "line 2: instantaneous regret must be"),
+        ("1,0.5,0.5,5\n2,0.25,0.8,5\n", "line 3: cum_regret 0.8 is not the running sum"),
+    ], ids=["out-of-order", "negative", "nan", "not-the-running-sum"])
+    def test_summarize_rejects_a_trace_that_breaks_the_trace_rules(self, tmp_path, capsys,
+                                                                   rows, fragment):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,inst_regret,cum_regret,bits\n" + rows)
+        out = tmp_path / "resummary.csv"
+        assert cli_main(["summarize", str(bad), "-o", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"trace error: {bad}, {fragment}")
+        assert not out.exists()
 
     def test_summarize_rejects_a_header_only_trace(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitbandit import known
-from bitbandit.codec import BitBuffer, decode_known
+from bitbandit.codec import BitBuffer, decode_known, encode_known
 from bitbandit.env import (
     Bernoulli,
     BinarySupport,
@@ -222,6 +223,23 @@ class TestActionMap:
         np.testing.assert_array_equal(a.table, b.table)
         assert "monte-carlo" in a.provenance
 
+    def test_rows_of_thetas_and_table_must_match(self):
+        with pytest.raises(ValueError, match="matching"):
+            known.ActionMap(thetas=[[1.0]], table=[[1.0, 0.0]], provenance="test")
+
+    @pytest.mark.parametrize("kwargs, fragment", [
+        ({"method": "fast"}, "unknown xstar method 'fast'"),
+        ({"method": "monte-carlo"}, "Monte-Carlo xstar needs an rng"),
+    ])
+    def test_build_rejects_a_method_it_cannot_run(self, kwargs, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            build_action_map(two_action_binary(0.25, 0.5), [[1.0]], **kwargs)
+
+    def test_estimate_needs_a_sample(self):
+        with pytest.raises(ValueError, match="need at least one sample, got 0"):
+            estimate_xstar(two_action_binary(0.25, 0.5), [1.0], n_samples=0,
+                           rng=np.random.default_rng(0))
+
     def test_misspecify_displaces_rows_by_eps(self):
         spec = two_action_binary(0.25, 0.5)
         amap = build_action_map(spec, [[-1.0], [1.0]])
@@ -315,6 +333,12 @@ class TestLinUcb:
                 assert i == first[i]
                 policy.update(menu[i] @ theta + 0.1 * rng.standard_normal())
 
+    @pytest.mark.parametrize("menu, shape", [([], "(1, 0)"), ([[]], "(1, 0)"),
+                                             (np.zeros((0, 3)), "(0, 3)")])
+    def test_rejects_a_menu_without_rows_or_columns(self, menu, shape):
+        with pytest.raises(ValueError, match=rf"need at least one action, .*{re.escape(shape)}"):
+            LinUcb(menu)
+
     def test_rejects_bad_ridge(self):
         with pytest.raises(ValueError):
             LinUcb(np.array([[1.0]]), lam=0.0)
@@ -374,10 +398,12 @@ class TestLinUcb:
 
 class TestOneBitChannel:
     def test_frames_are_the_codec_bytes_and_parse_back(self):
-        assert known._ONE_BIT_FRAMES == (b"\x00", b"\x80")
-        for bit, frame in enumerate(known._ONE_BIT_FRAMES):
-            assert decode_known(BitBuffer.from_bytes(frame, 1)).reward_bit == bit
-            assert known._ONE_BIT_RECEIVED[frame] == ((bit,), 1)
+        assert known._ONE_BIT_WIRE == (((0,), 1), ((1,), 1))
+        for bit, frame in enumerate((b"\x00", b"\x80")):
+            assert encode_known(bit).to_bytes() == frame
+            assert decode_known(BitBuffer.from_bytes(frame, 1)) == bit
+            (received,), bits = known._ONE_BIT_WIRE[bit]
+            assert type(received) is int and bits == 1
 
     def test_one_draw_per_round_as_the_reward_bit(self):
         rewards = np.random.default_rng(5).random(500)

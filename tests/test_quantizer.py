@@ -12,6 +12,7 @@ from bitbandit.quantizer import (
     QuantizationRangeError,
     StochasticQuantizer,
     _enforce_l1_budget,
+    context_grid,
     magnitude_scale,
     quantize_context,
     reconstruct_context,
@@ -161,7 +162,8 @@ class TestQuantizeContext:
             quantize_context(np.array([np.nan, 0.0]), rng)
 
     def test_matches_scalar_quantizer_draw_for_draw(self):
-        """Same levels, square bits and rng state as two StochasticQuantizers."""
+        """Same levels, square bits and rng state as two StochasticQuantizers, and
+        the reconstructed square errors are the second quantizer's values."""
 
         def reference(x, rng):
             m = magnitude_scale(x.size)
@@ -170,7 +172,8 @@ class TestQuantizeContext:
             assert mags.sum() <= 2 * x.size  # no demotion in this reference
             xhat = np.where(x < 0, -1, 1) * mags / m
             err_q = StochasticQuantizer(1, lower=-3.0 / m, upper=3.0 / m)
-            return mags, err_q.decode(err_q.encode(x * x - xhat * xhat, rng))
+            levels = err_q.encode(x * x - xhat * xhat, rng)
+            return mags, levels, xhat * xhat + err_q.decode(levels)
 
         data_rng = np.random.default_rng(7)
         for d in (1, 2, 5, 16, 64):
@@ -178,16 +181,18 @@ class TestQuantizeContext:
                 seed = int(data_rng.integers(2**32))
                 ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
                 qc = quantize_context(x, ra)
-                mags, sq_errors = reference(x, rb)
+                mags, levels, xsq_hat = reference(x, rb)
                 np.testing.assert_array_equal(qc.magnitudes, mags)
-                assert qc.sq_errors.tobytes() == sq_errors.tobytes()
+                np.testing.assert_array_equal(qc.square_bits, levels == 1)
+                assert reconstruct_context(qc)[1].tobytes() == xsq_hat.tobytes()
                 assert ra.random() == rb.random()
 
     def test_sign_of_zero_is_positive(self):
         rng = np.random.default_rng(42)
-        qc = quantize_context(np.zeros(4), rng)
-        np.testing.assert_array_equal(qc.signs, np.ones(4))
-        np.testing.assert_array_equal(qc.magnitudes, np.zeros(4))
+        qc = quantize_context(np.array([0.0, -0.0, -0.5, 0.5]), rng)
+        np.testing.assert_array_equal(qc.sign_bits, [True, True, False, True])
+        np.testing.assert_array_equal(qc.magnitudes[:2], np.zeros(2))
+        np.testing.assert_array_equal(np.sign(reconstruct_context(qc)[0][2:]), [-1, 1])
 
     def test_fields_are_well_formed(self):
         rng = np.random.default_rng(42)
@@ -195,11 +200,13 @@ class TestQuantizeContext:
             m = magnitude_scale(d)
             for x in random_unit_ball(200, d, rng):
                 qc = quantize_context(x, rng)
-                assert qc.d == d and qc.m == m
-                assert set(np.unique(qc.signs)) <= {-1, 1}
+                assert qc.sign_bits.dtype == qc.square_bits.dtype == np.bool_
+                assert qc.sign_bits.shape == qc.magnitudes.shape == qc.square_bits.shape == (d,)
+                np.testing.assert_array_equal(qc.sign_bits, x >= 0)
                 assert qc.magnitudes.min() >= 0
                 assert qc.magnitudes.max() <= m
-                assert np.all(np.isin(qc.sq_errors, [-3.0 / m, 3.0 / m]))
+                xhat, xsq_hat = reconstruct_context(qc)
+                assert np.all(np.isin(xsq_hat - xhat * xhat, context_grid(m).squares))
 
     def test_l1_budget_never_exceeded(self):
         rng = np.random.default_rng(42)
@@ -222,7 +229,7 @@ class TestQuantizeContext:
         x = np.array([0.7, 0.357, 0.357, 0.357, 0.357])
         assert np.linalg.norm(x) <= 1.0
         qc = quantize_context(x, AlwaysCeil())
-        m = qc.m
+        m = magnitude_scale(d)
         assert qc.magnitudes.sum() == 2 * d
         # every coordinate sits on floor or ceil of m|x|
         scaled = m * np.abs(x)

@@ -75,6 +75,10 @@ class TestLearnerState:
         with pytest.raises(ValueError):
             new_learner_state(0)
 
+    def test_rejects_a_negative_solve_start(self):
+        with pytest.raises(ValueError, match="solve_min_rounds must be nonnegative"):
+            new_learner_state(3, solve_min_rounds=-1)
+
     def test_update_accumulates_offdiag_and_replaces_diag(self):
         state = new_learner_state(2, solve_min_rounds=10)
         xhat = np.array([0.5, -1.0])
