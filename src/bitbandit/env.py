@@ -473,6 +473,8 @@ class RegretTrace:
     def record(self, inst: float, bits: int) -> None:
         if not -_TOL <= inst < math.inf:  # NaN fails too
             raise ValueError(f"instantaneous regret must be finite and nonnegative, got {inst}")
+        if type(bits) is not int or bits < 0:  # a bool or a NumPy integer fails too
+            raise ValueError(f"bit count must be a nonnegative integer, got {bits!r}")
         prev = self.cum_regret[-1] if self.cum_regret else 0.0
         self.inst_regret.append(inst)
         self.cum_regret.append(prev + inst)

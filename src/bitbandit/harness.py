@@ -120,7 +120,6 @@ class AlgorithmConfig:
     misspec_seed: int = _key(0, _at_least(int, 0), "known")
     ridge: float = _key(1.0, _Leaf(float, lambda v: v > 0, "> 0"), "known", "naive_mean")
     solve_min_rounds: int | None = _key(None, _at_least(int, 0), "unknown", "full_precision")
-    pilot_rounds: int = _key(0, _at_least(int, 0), "unknown")  # excitation dry-run length
 
 
 def _algorithm_layout(kind: str) -> tuple:
@@ -335,8 +334,7 @@ def _run_one_seed(cfg: ExperimentConfig, seed: int, amap) -> RegretTrace:
     if algo.kind == "naive_mean":
         return run_naive_baseline(spec, seed, lam=algo.ridge)
     if algo.kind == "unknown":
-        return run_unknown(spec, seed, solve_min_rounds=algo.solve_min_rounds,
-                           pilot_rounds=algo.pilot_rounds)
+        return run_unknown(spec, seed, solve_min_rounds=algo.solve_min_rounds)
     if algo.kind == "full_precision":
         return run_full_precision(spec, seed, solve_min_rounds=algo.solve_min_rounds)
     raise ValueError(f"unknown algorithm kind {algo.kind!r}")

@@ -247,7 +247,8 @@ class LinUcb:
 
     def __init__(self, actions, lam: float = 1.0):
         self.actions = np.atleast_2d(np.asarray(actions, dtype=float))
-        if min(self.actions.shape) < 1:  # atleast_2d makes [] and [[]] shape (1, 0)
+        # atleast_2d makes [] and [[]] shape (1, 0); a 3-d array is no (n, d) menu either
+        if self.actions.ndim != 2 or min(self.actions.shape) < 1:
             raise ValueError(f"need at least one action, got a menu of shape "
                              f"{self.actions.shape}")
         self.n, self.d = self.actions.shape
@@ -324,25 +325,24 @@ def one_bit_channel(x: np.ndarray, r: float, quant_rng: np.random.Generator):
 
 
 def seed_streams(seed: int) -> tuple[np.random.Generator, ...]:
-    """Children 0, 1 and 2 of SeedSequence(seed): environment, quantizer and pilot."""
-    return tuple(np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(3))
+    """Children 0 and 1 of SeedSequence(seed): environment and quantizer."""
+    return tuple(np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(2))
 
 
-def simulate(spec: EnvironmentSpec, seed: int, broadcast, channel, learn,
-             rngs=None) -> RegretTrace:
+def simulate(spec: EnvironmentSpec, seed: int, broadcast, channel, learn) -> RegretTrace:
     """Run the agent/channel/learner loop for spec.horizon rounds.
 
     ``broadcast()`` gives a theta, under which the agent plays greedily, or an
     action index, played as is.  ``channel(x, r, quant_rng)`` returns what the
     learner receives and its bits; ``learn(*received)`` feeds it in.  Draws
-    come from the seed's streams, or from ``rngs`` (env, quantizer) when given.
+    come from the seed's two streams, environment and quantizer.
 
     The environment comes in blocks of rounds, drawn as sample_context then
     realize_reward draw each round.  The regret reads one product of a block's
     sets with theta*, rounded as regret_gap rounds each set's; the mean reward
     stays the played row's own np.dot, as in mean_reward.
     """
-    env_rng, quant_rng = rngs or seed_streams(seed)[:2]
+    env_rng, quant_rng = seed_streams(seed)
     trace = RegretTrace(seed, spec.digest())
     block = max(1, _BLOCK_VALUES // (spec.n_actions * spec.d))
     for start in range(0, spec.horizon, block):

@@ -13,21 +13,21 @@ unchanged.  The learner accumulates
 so that both u and Vtilde are unbiased estimates of the signed-reward
 least-squares system, and solves Vtilde theta_hat = u each round by LU,
 falling back to the minimum-norm pinv(Vtilde) u when Vtilde is singular or
-ill-conditioned.
+ill-conditioned.  The paper's excitation assumption on the played contexts is
+not checked during a run; :func:`bitbandit.env.assumption2_diagnostic` measures
+it on a sequence of played contexts.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg  # np.linalg.solve's own gufuncs; see ROADMAP.md
 
-from . import env as environment
 from .codec import BitBuffer, UnknownMessage, decode_unknown, encode_unknown
 from .env import EnvironmentSpec, RegretTrace
-from .known import REWARD_BIT, seed_streams, simulate
+from .known import REWARD_BIT, simulate
 from .quantizer import quantize_context, reconstruct_context
 
 __all__ = [
@@ -40,8 +40,6 @@ __all__ = [
     "run_full_precision",
     "FULL_PRECISION_BITS_PER_SCALAR",
 ]
-
-logger = logging.getLogger(__name__)
 
 # Nominal uplink accounting for the unquantized reference learner: one IEEE-754
 # double per context coordinate plus one for the reward.
@@ -146,19 +144,16 @@ def exact_channel(x: np.ndarray, r: float, quant_rng: np.random.Generator | None
 
 
 def _run_least_squares(spec: EnvironmentSpec, seed: int, channel,
-                       solve_min_rounds: int | None, **loop) -> RegretTrace:
+                       solve_min_rounds: int | None) -> RegretTrace:
     """The least-squares learner, playing greedily under its current theta_hat."""
     state = new_learner_state(spec.d, solve_min_rounds)
     return simulate(spec, seed, lambda: state.theta_hat, channel,
-                    lambda *received: apply_update(state, *received), **loop)
+                    lambda *received: apply_update(state, *received))
 
 
 def run_unknown(spec: EnvironmentSpec, seed: int,
-                solve_min_rounds: int | None = None,
-                pilot_rounds: int = 0) -> RegretTrace:
+                solve_min_rounds: int | None = None) -> RegretTrace:
     """Simulate the quantized-uplink learner/agent pair."""
-    if pilot_rounds > 0:
-        _pilot_excitation_check(spec, pilot_rounds, seed)
     return _run_least_squares(spec, seed, lattice_channel, solve_min_rounds)
 
 
@@ -172,26 +167,3 @@ def run_full_precision(spec: EnvironmentSpec, seed: int,
     Bits are accounted at a nominal 64 per scalar (d + 1 scalars).
     """
     return _run_least_squares(spec, seed, exact_channel, solve_min_rounds)
-
-
-def _pilot_excitation_check(spec: EnvironmentSpec, rounds: int, seed: int) -> None:
-    """Short dry run on the pilot stream; warn (never fail) when the Gram matrix barely excites."""
-    played = []
-
-    def channel(x, r, quant_rng):
-        played.append(x)
-        return exact_channel(x, r, quant_rng)
-
-    _run_least_squares(replace(spec, horizon=rounds), seed, channel, None,
-                       rngs=(seed_streams(seed)[2], None))
-    # Only the later half: a few repeated early plays are no sign of a law
-    # that fails to excite, yet they would pin the minimum over all t at 0.
-    t0 = max(rounds // 2, spec.d)
-    diag = environment.assumption2_diagnostic(np.array(played), t0=t0)
-    if diag.c <= 1e-9:
-        logger.warning(
-            "pilot run (%d rounds): played-context Gram matrix shows no "
-            "excitation rate (c = %.3g over rounds %d..%d); least squares "
-            "may stay ill-posed",
-            rounds, diag.c, t0, rounds,
-        )

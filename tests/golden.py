@@ -8,7 +8,9 @@ root of a checkout with
 It runs all nine configs in configs/, which takes a few minutes.  The
 acceptance criteria that run these configs record their CSVs' digests, and
 tests/test_acceptance.py::test_11_golden_csv_digests compares all nine with
-the file.  The digests belong to the NumPy and BLAS they were recorded with.
+the file.  The digests belong to the NumPy and BLAS they were recorded with,
+which the file names under its "_platform" key; the comparison skips that key
+and prints it beside the running platform's when a digest differs.
 """
 
 import hashlib
@@ -20,10 +22,19 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 CONFIG_DIR = HERE.parent / "configs"
 GOLDEN = HERE / "golden_csv_sha256.json"
+STAMP_KEY = "_platform"  # not a config name: config names are file stems in configs/
 
 
 def config_names() -> list[str]:
     return sorted(path.stem for path in CONFIG_DIR.glob("*.yaml"))
+
+
+def platform_stamp() -> dict:
+    """The NumPy version and the BLAS it was built with, name and version."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version")}
 
 
 def digests(result) -> dict:
@@ -45,7 +56,8 @@ def run_config(name: str, base_dir) -> dict:
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         table = {name: run_config(name, Path(tmp) / name) for name in config_names()}
-    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    stamped = {STAMP_KEY: platform_stamp(), **table}
+    GOLDEN.write_text(json.dumps(stamped, indent=1, sort_keys=True) + "\n")
     print(f"wrote {sum(map(len, table.values()))} digests of {len(table)} configs to {GOLDEN}")
 
 

@@ -396,6 +396,7 @@ def test_10_reproducibility(tmp_path, csv_digests):
 def test_11_golden_csv_digests(tmp_path, csv_digests):
     t0 = time.perf_counter()
     want = json.loads(golden.GOLDEN.read_text())
+    recorded_on = want.pop(golden.STAMP_KEY, None)
     ran = [name for name in golden.config_names() if name not in csv_digests]
     for name in ran:  # a config no criterion of this session produced
         csv_digests[name] = golden.run_config(name, tmp_path / name)
@@ -409,5 +410,7 @@ def test_11_golden_csv_digests(tmp_path, csv_digests):
         not differ,
         f"{sum(map(len, got.values()))} CSVs of {len(got)} configs against "
         f"{golden.GOLDEN.name} ({len(ran)} configs run here); "
-        f"differing: {', '.join(differ) or 'none'}, {elapsed:.1f}s",
+        f"differing: {', '.join(differ) or 'none'}, {elapsed:.1f}s"
+        + (f"; recorded on {recorded_on}, running on {golden.platform_stamp()}"
+           if differ else ""),
     )

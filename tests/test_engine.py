@@ -25,9 +25,9 @@ from bitbandit.known import build_action_map, run_known, run_naive_baseline
 from bitbandit.unknown import run_full_precision, run_unknown
 
 
-def scalar_simulate(spec, seed, broadcast, channel, learn, rngs=None):
+def scalar_simulate(spec, seed, broadcast, channel, learn):
     """known.simulate's contract, one round and one environment call at a time."""
-    env_rng, quant_rng = rngs or known.seed_streams(seed)[:2]
+    env_rng, quant_rng = known.seed_streams(seed)
     trace = RegretTrace(seed, spec.digest())
     for _ in range(spec.horizon):
         order = broadcast()
@@ -78,11 +78,11 @@ def _runs(monkeypatch, run):
     for loop in (known.simulate, scalar_simulate):
         seen = []
 
-        def tapped(spec, seed, broadcast, channel, learn, rngs=None, loop=loop, seen=seen):
+        def tapped(spec, seed, broadcast, channel, learn, loop=loop, seen=seen):
             def tap(x, r, quant_rng):
                 seen.append((x.tolist(), r))
                 return channel(x, r, quant_rng)
-            return loop(spec, seed, broadcast, tap, learn, rngs)
+            return loop(spec, seed, broadcast, tap, learn)
 
         monkeypatch.setattr(known, "simulate", tapped)
         monkeypatch.setattr(unknown, "simulate", tapped)
@@ -97,14 +97,13 @@ def _known_run(spec):
 
 
 @pytest.mark.parametrize("case", ["known_binary", "known_custom", "naive_mean",
-                                  "unknown_pilot", "full_precision_truncated"])
+                                  "unknown", "full_precision_truncated"])
 def test_engine_matches_scalar_oracle(case, monkeypatch):
     run = {
         "known_binary": lambda: _known_run(_binary_spec()),
         "known_custom": lambda: _known_run(_custom_spec()),
         "naive_mean": lambda: lambda: run_naive_baseline(_binary_spec(), seed=4),
-        "unknown_pilot": lambda: lambda: run_unknown(
-            _gauss_spec(Bernoulli()), seed=9, pilot_rounds=40),
+        "unknown": lambda: lambda: run_unknown(_gauss_spec(Bernoulli()), seed=9),
         # rewards reach the learner unrounded: the case where a mean reward
         # read from the block's stacked scores instead of np.dot would show
         "full_precision_truncated": lambda: lambda: run_full_precision(

@@ -1,6 +1,7 @@
 """Tests for environment specs, context/noise models, and regret traces."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -251,6 +252,13 @@ class TestRegretTrace:
         trace = RegretTrace(seed=0)
         with pytest.raises(ValueError, match=f"finite and nonnegative, got {inst}"):
             trace.record(inst, bits=1)
+        assert len(trace) == 0
+
+    @pytest.mark.parametrize("bits", [-1, 2.0, True, np.int64(3)])
+    def test_bit_count_must_be_a_nonnegative_int(self, bits):
+        trace = RegretTrace(seed=0)
+        with pytest.raises(ValueError, match=re.escape(f"nonnegative integer, got {bits!r}")):
+            trace.record(0.5, bits)
         assert len(trace) == 0
 
     def test_regret_at_bounds(self):

@@ -209,6 +209,8 @@ class TestConfigParsing:
             {"support": [[0.5]], "probs": [1.0]},
             {"support": [[0.5]], "probs": [1.0], "weight": 2.0},
         ]}}, "unknown key 'weight'"),
+        ({"algorithm": {"kind": "unknown", "pilot_rounds": 5}},
+         "algorithm: unknown key 'pilot_rounds' for kind 'unknown'"),
     ])
     def test_unusable_xstar_grid_or_law_is_a_config_error(self, overrides, fragment,
                                                           tmp_path, capsys):
@@ -368,7 +370,7 @@ _PIN_CASES = {
     "naive_mean": (_PIN_BINARY, {"kind": "naive_mean"},
                    [1.5556349186104044, 9.899494936611665, 40.72935059634511,
                     82.7314933988261], 1),
-    "unknown": (_PIN_GAUSS, {"kind": "unknown", "pilot_rounds": 20},
+    "unknown": (_PIN_GAUSS, {"kind": "unknown"},
                 [1.1577371916160413, 8.148885962188782, 11.927538098310643,
                  12.631834280032082], 14),
     "full_precision": (_PIN_GAUSS, {"kind": "full_precision"},
@@ -531,7 +533,8 @@ class TestCli:
         ("1,0.5,0.5,5\n2,-0.25,0.25,5\n", "line 3: instantaneous regret must be"),
         ("1,nan,nan,5\n", "line 2: instantaneous regret must be"),
         ("1,0.5,0.5,5\n2,0.25,0.8,5\n", "line 3: cum_regret 0.8 is not the running sum"),
-    ], ids=["out-of-order", "negative", "nan", "not-the-running-sum"])
+        ("1,0.5,0.5,-5\n2,0.25,0.75,-7\n", "line 2: bit count must be a nonnegative integer"),
+    ], ids=["out-of-order", "negative", "nan", "not-the-running-sum", "negative-bits"])
     def test_summarize_rejects_a_trace_that_breaks_the_trace_rules(self, tmp_path, capsys,
                                                                    rows, fragment):
         bad = tmp_path / "bad.csv"

@@ -334,7 +334,8 @@ class TestLinUcb:
                 policy.update(menu[i] @ theta + 0.1 * rng.standard_normal())
 
     @pytest.mark.parametrize("menu, shape", [([], "(1, 0)"), ([[]], "(1, 0)"),
-                                             (np.zeros((0, 3)), "(0, 3)")])
+                                             (np.zeros((0, 3)), "(0, 3)"),
+                                             (np.zeros((2, 2, 2)), "(2, 2, 2)")])
     def test_rejects_a_menu_without_rows_or_columns(self, menu, shape):
         with pytest.raises(ValueError, match=rf"need at least one action, .*{re.escape(shape)}"):
             LinUcb(menu)

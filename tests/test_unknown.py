@@ -1,7 +1,5 @@
 """Tests for the unknown-distribution learner: state updates, wire loop, solver."""
 
-import logging
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,19 +34,6 @@ def integral_grid_spec(horizon=300):
     return EnvironmentSpec(
         d=2, n_actions=2, theta_star=np.array([0.6, 0.3]),
         context_model=CustomDiscrete(supports=(sup0, sup1), probs=(pr0, pr1)),
-        noise_model=Bernoulli(), horizon=horizon,
-    )
-
-
-def line_spec(horizon=40):
-    """d=2 contexts all on the line through (0.6, 0.8), so their Gram matrix
-    never gains a second direction."""
-    direction = np.array([0.6, 0.8])
-    sup = np.array([1.0, 0.7, -0.35, 0.2])[:, None] * direction
-    return EnvironmentSpec(
-        d=2, n_actions=2, theta_star=np.array([0.6, 0.3]),
-        context_model=CustomDiscrete(supports=(sup, sup[::-1]),
-                                     probs=(np.full(4, 0.25), np.full(4, 0.25))),
         noise_model=Bernoulli(), horizon=horizon,
     )
 
@@ -230,22 +215,6 @@ class TestSolveRule:
             assert state.pinv_fallbacks == fallbacks
 
 
-class TestPilotExcitationCheck:
-    @pytest.mark.parametrize("spec, seeds, warns", [
-        # seeds whose first plays repeat one atom, so lambda_min(2) = 0
-        (integral_grid_spec(horizon=40), (0, 4, 7, 8), False),
-        (line_spec(), (0, 1), True),
-    ], ids=["exciting-grid-law", "line-law"])
-    def test_warns_only_when_the_law_fails_to_excite(self, spec, seeds, warns, caplog):
-        for seed in seeds:
-            caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="bitbandit.unknown"):
-                run_unknown(spec, seed=seed, pilot_rounds=30)
-            assert bool(caplog.records) == warns, seed
-            if warns:
-                assert "over rounds 15..30" in caplog.text
-
-
 class TestRunUnknown:
     def test_budgeted_bits_every_round(self):
         for d, k in ((1, 2), (2, 3)):
@@ -258,12 +227,6 @@ class TestRunUnknown:
         a = run_unknown(spec, seed=3)
         b = run_unknown(spec, seed=3)
         np.testing.assert_array_equal(a.inst_regret, b.inst_regret)
-
-    def test_pilot_rounds_do_not_change_the_run(self):
-        spec = gaussian_spec(horizon=120)
-        plain = run_unknown(spec, seed=5)
-        piloted = run_unknown(spec, seed=5, pilot_rounds=30)
-        np.testing.assert_array_equal(plain.inst_regret, piloted.inst_regret)
 
     def test_learner_beats_uniform_play(self):
         spec = gaussian_spec(d=2, k=5, horizon=2000)
