@@ -25,6 +25,7 @@ from .harness import (
     build_known_action_map,
     load_config,
     run_experiment,
+    seed_figures,
     summarize,
     write_summary_csv,
 )
@@ -62,14 +63,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    try:
-        traces = [RegretTrace.read_csv(p) for p in args.traces]
-        rows = summarize(traces)
+    try:  # each trace is reduced to its figures as it is read, as run_experiment does
+        rows = summarize([seed_figures(RegretTrace.read_csv(p)) for p in args.traces])
     except (OSError, ValueError) as exc:  # a missing, malformed, empty or unequal trace
         print(f"trace error: {exc}", file=sys.stderr)
         return 2
     write_summary_csv(rows, args.output)
-    print(f"wrote {args.output} ({len(traces)} trace(s))")
+    print(f"wrote {args.output} ({len(args.traces)} trace(s))")
     return 0
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -53,6 +54,9 @@ __all__ = [
 ]
 
 _TOL = 1e-9
+# Context values squared at a time for norms.  A block of rounds that known.simulate
+# draws (8192 values) is one slice; a 20 000-set Monte-Carlo chunk is many.
+_SQUARE_VALUES = 1 << 16
 _NORMAL = NormalDist()
 
 
@@ -130,7 +134,7 @@ class GaussianProjected(_ContextLaw):
 
     def _project(self, out: np.ndarray) -> np.ndarray:  # scales and projects in place
         out *= self._stds
-        norms = np.sqrt(np.add.reduce(out * out, axis=2, keepdims=True))  # as np.linalg.norm
+        norms = np.sqrt(_sum_squares(out))[:, :, None]  # as np.linalg.norm
         out /= np.maximum(norms, 1.0)  # x / 1.0 is x: only norms over 1 rescale
         return out
 
@@ -381,8 +385,19 @@ def sample_rounds(spec: EnvironmentSpec, c: int, rng: np.random.Generator):
 
 def _in_unit_ball(out: np.ndarray) -> np.ndarray:
     # sqrt is monotone, so this is the largest norm; NaN fails the test too
-    if not math.sqrt(np.add.reduce(out * out, axis=2).max(initial=0.0)) <= 1.0 + _TOL:
+    if not math.sqrt(_sum_squares(out).max(initial=0.0)) <= 1.0 + _TOL:
         raise AssumptionViolation("sampled context outside the unit ball")
+    return out
+
+
+def _sum_squares(sets: np.ndarray) -> np.ndarray:
+    """np.add.reduce(sets * sets, axis=2) of (n, K, d) context sets, squared a slice of
+    sets at a time so that no temporary is as large as a Monte-Carlo chunk."""
+    step = max(1, _SQUARE_VALUES // (sets.shape[1] * sets.shape[2]))
+    out = np.empty(sets.shape[:2])
+    for lo in range(0, len(sets), step):
+        part = sets[lo:lo + step]
+        np.add.reduce(part * part, axis=2, out=out[lo:lo + step])
     return out
 
 
@@ -446,70 +461,149 @@ def write_table(path, fields: dict, rows) -> None:
 def read_table(path, fields: dict) -> list[dict]:
     """The rows of a write_table CSV as dicts, each cell cast by its column's type;
     a wrong header, cell count or cell is a ValueError naming the file and line."""
+    return [dict(zip(fields, row)) for row in _iter_table(path, fields)]
+
+
+def _iter_table(path, fields: dict):
+    """read_table's rows one at a time, each a tuple in column order."""
+    casts = tuple(fields.values())
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != list(fields):
             raise ValueError(f"{path}, line 1: the header is not {','.join(fields)}")
-        try:
-            return [{k: cast(c) for (k, cast), c in zip(fields.items(), cells, strict=True)}
-                    for cells in reader]
-        except ValueError as exc:  # a cast, or zip meeting too few or too many cells
-            raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+        for cells in reader:
+            try:
+                row = tuple([cast(c) for cast, c in zip(casts, cells, strict=True)])
+            except ValueError as exc:  # a cast, or zip meeting too few or too many cells
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+            yield row
+
+
+_BITS_LIMIT = 1 << 31  # bit counts are stored as int32
+_CSV_ROWS = 1024  # trace rows converted to or from Python numbers at a time
+
+
+def _first_refused(inst: np.ndarray, bits) -> tuple[int, str] | None:
+    """The first round of a block that a trace refuses, and why, its regret before its
+    bits; None when there is none.  A regret must be finite and nonnegative, and a bit
+    count a nonnegative ``int`` below 2**31: a bool or a NumPy integer fails too."""
+    kept = (inst >= -_TOL) & (inst < math.inf)  # NaN fails too
+    i = len(inst) if kept.all() else int(kept.argmin())
+    j = next((j for j, b in enumerate(bits) if type(b) is not int or not 0 <= b < _BITS_LIMIT),
+             len(bits))
+    if i < len(inst) and i <= j:
+        return i, f"instantaneous regret must be finite and nonnegative, got {float(inst[i])}"
+    if j < len(bits):
+        rule = "below 2**31" if type(bits[j]) is int and bits[j] >= 0 else "a nonnegative integer"
+        return j, f"bit count must be {rule}, got {bits[j]!r}"
+    return None
 
 
 class RegretTrace:
-    """Per-round regret and uplink-bit log for one simulation."""
+    """Per-round regret and uplink-bit log for one simulation: float64 regret and
+    running sum and int32 bit counts, 20 B a round."""
 
-    def __init__(self, seed: int, spec_digest: str = ""):
+    def __init__(self, seed: int, spec_digest: str = "", capacity: int = 0):
         self.seed = seed
         self.spec_digest = spec_digest
-        self.inst_regret: list[float] = []
-        self.cum_regret: list[float] = []
-        self.bits: list[int] = []
+        self._n = 0
+        self._inst, self._cum = np.empty(capacity), np.empty(capacity)
+        self._bits = np.empty(capacity, dtype=np.int32)
 
     def __len__(self) -> int:
-        return len(self.inst_regret)
+        return self._n
+
+    @property
+    def inst_regret(self) -> np.ndarray:
+        return self._inst[:self._n]
+
+    @property
+    def cum_regret(self) -> np.ndarray:
+        return self._cum[:self._n]
+
+    @property
+    def bits(self) -> np.ndarray:
+        return self._bits[:self._n]
 
     def record(self, inst: float, bits: int) -> None:
-        if not -_TOL <= inst < math.inf:  # NaN fails too
-            raise ValueError(f"instantaneous regret must be finite and nonnegative, got {inst}")
-        if type(bits) is not int or bits < 0:  # a bool or a NumPy integer fails too
-            raise ValueError(f"bit count must be a nonnegative integer, got {bits!r}")
-        prev = self.cum_regret[-1] if self.cum_regret else 0.0
-        self.inst_regret.append(inst)
-        self.cum_regret.append(prev + inst)
-        self.bits.append(bits)
+        """Append one round; see extend."""
+        self.extend([inst], [bits])
+
+    def extend(self, inst, bits) -> None:
+        """Append rounds: their regrets and their bit counts, Python ints.  A block
+        with a regret or a count that _first_refused names is a ValueError, and none
+        of it is stored.  The running sum adds the regrets one at a time, in order."""
+        inst = np.asarray(inst, dtype=float)
+        if len(bits) != len(inst):
+            raise ValueError(f"{len(inst)} regrets but {len(bits)} bit counts")
+        refused = _first_refused(inst, bits)
+        if refused:
+            raise ValueError(refused[1])
+        lo, hi = self._n, self._n + len(inst)
+        if hi > len(self._inst):
+            self._grow(hi)
+        self._inst[lo:hi] = inst
+        self._bits[lo:hi] = bits
+        run = np.empty(len(inst) + 1)  # the sum so far, then this block's regrets
+        run[0] = self.total_regret
+        run[1:] = inst
+        self._cum[lo:hi] = np.add.accumulate(run)[1:]  # sequential, unlike np.sum
+        self._n = hi
+
+    def _grow(self, need: int) -> None:
+        capacity = max(need, 2 * len(self._inst))
+        for name in ("_inst", "_cum", "_bits"):
+            old = getattr(self, name)
+            new = np.empty(capacity, dtype=old.dtype)
+            new[:self._n] = old[:self._n]
+            setattr(self, name, new)
 
     @property
     def total_regret(self) -> float:
-        return self.cum_regret[-1] if self.cum_regret else 0.0
+        return float(self._cum[self._n - 1]) if self._n else 0.0
 
     def regret_at(self, t: int) -> float:
         """Cumulative regret after round t (1-based)."""
         if not 1 <= t <= len(self):
             raise ValueError(f"round {t} outside 1..{len(self)}")
-        return self.cum_regret[t - 1]
+        return float(self._cum[t - 1])
 
     def write_csv(self, path) -> None:
-        write_table(path, TRACE_FIELDS, zip(range(1, len(self) + 1), self.inst_regret,
-                                            self.cum_regret, self.bits))
+        """One row a round, converted to Python numbers _CSV_ROWS rounds at a time:
+        full-size lists would cost more than the arrays."""
+        columns = (self.inst_regret, self.cum_regret, self.bits)
+        chunks = (zip(range(lo + 1, len(self) + 1),
+                      *(column[lo:lo + _CSV_ROWS].tolist() for column in columns))
+                  for lo in range(0, len(self), _CSV_ROWS))
+        write_table(path, TRACE_FIELDS, itertools.chain.from_iterable(chunks))
 
     @classmethod
     def read_csv(cls, path) -> "RegretTrace":
-        """A trace as write_csv wrote it, each row fed through record(); a row that is
-        not the next round, or whose cum_regret is not record's running sum, is a
-        ValueError naming the file and line."""
+        """A trace as write_csv wrote it, fed through extend() _CSV_ROWS rows at a time.
+        A row that is not the next round, that extend() refuses, or whose cum_regret is
+        not the running sum is a ValueError naming the file and line."""
         trace = cls(seed=-1)
-        for line, row in enumerate(read_table(path, TRACE_FIELDS), start=2):
-            try:
-                if row["t"] != len(trace) + 1:
-                    raise ValueError(f"round {row['t']} where round {len(trace) + 1} belongs")
-                trace.record(row["inst_regret"], row["bits"])
-                if row["cum_regret"] != trace.total_regret:  # exact: floats go as their repr
-                    raise ValueError(f"cum_regret {row['cum_regret']!r} is not the running "
-                                     f"sum {trace.total_regret!r}")
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {line}: {exc}") from None
+        rows = _iter_table(path, TRACE_FIELDS)
+        while chunk := list(itertools.islice(rows, _CSV_ROWS)):
+            lo = len(trace)
+            ts, inst, cums, bits = zip(*chunk)
+            # the rows before the first that is not the next round or that extend() refuses
+            ok = next((i for i, t in enumerate(ts) if t != lo + i + 1), len(ts))
+            refused = _first_refused(np.array(inst[:ok]), bits[:ok])
+            ok = refused[0] if refused else ok
+            trace.extend(inst[:ok], bits[:ok])
+            sums = trace.cum_regret[lo:]
+            wrong = np.flatnonzero(np.array(cums[:ok]) != sums)  # exact: floats go as their repr
+            if wrong.size:
+                i = int(wrong[0])
+                problem = f"cum_regret {cums[i]!r} is not the running sum {float(sums[i])!r}"
+            elif ok < len(ts):
+                i = ok
+                problem = (refused[1] if refused else
+                           f"round {ts[i]} where round {lo + i + 1} belongs")
+            else:
+                continue
+            raise ValueError(f"{path}, line {lo + i + 2}: {problem}")
         return trace
 
 

@@ -39,6 +39,8 @@ __all__ = [
     "dump_config",
     "run_experiment",
     "ExperimentResult",
+    "SeedFigures",
+    "seed_figures",
     "summarize",
     "write_summary_csv",
     "read_summary_csv",
@@ -52,8 +54,9 @@ SCHEMA_VERSION = 1
 # point in Python, and each point is an xstar row of up to xstar_samples context sets.
 _NET_POINTS_LIMIT = 10_000
 _XSTAR_SAMPLES_LIMIT = 10_000_000
-# Most rounds (horizon x seeds) a config may ask for: every seed's trace, under 100 B
-# a round, is kept until the summary, so the limit holds under 1 GB of traces.
+# Longest horizon a config may ask for.  A run holds one seed's trace at a time, at
+# 20 B a round, and keeps a few figures of each finished seed: the limit holds a run
+# near 200 MB of trace however many seeds it has.
 _ROUNDS_LIMIT = 10_000_000
 
 # summary.csv column -> the type it is read back as, in column order
@@ -131,7 +134,8 @@ def _algorithm_layout(kind: str) -> tuple:
 _LAYOUT = {  # each top-level key of a config file and the layout _read reads it as
     "schema": _Leaf(int, lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION)),
     "environment": ({
-        "d": _at_least(int, 1), "actions": _at_least(int, 1), "horizon": _at_least(int, 1),
+        "d": _at_least(int, 1), "actions": _at_least(int, 1),
+        "horizon": _at_least(int, 1, _ROUNDS_LIMIT),
         "theta_star": [float],
         "context_model": _Kinds({kind: (law.node_shape(), law.from_node)
                                  for kind, law in CONTEXT_LAWS.items()}),
@@ -244,9 +248,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 problems.append(f"xstar_method 'exact' is unavailable: {obstacle}")
     if seeds is not None and len(set(seeds)) != len(seeds):
         problems.append("seeds entries must be distinct")
-    if spec is not None and seeds is not None and spec.horizon * len(seeds) > _ROUNDS_LIMIT:
-        problems.append(f"environment.horizon {spec.horizon} x {len(seeds)} seeds is over "
-                        f"the limit of {_ROUNDS_LIMIT} rounds")
     if problems:
         raise ConfigValidationError(problems)
     return ExperimentConfig(schema=SCHEMA_VERSION, spec=spec, algorithm=algo, seeds=seeds,
@@ -293,7 +294,7 @@ def dump_config(cfg: ExperimentConfig, path) -> None:
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
-    traces: list[RegretTrace]
+    figures: list[SeedFigures]  # per seed, in seed-list order; the traces are in trace_paths
     trace_paths: list[str]
     summary_rows: list[dict]
     summary_path: str
@@ -340,24 +341,28 @@ def _run_one_seed(cfg: ExperimentConfig, seed: int, amap) -> RegretTrace:
     raise ValueError(f"unknown algorithm kind {algo.kind!r}")
 
 
+def _run_and_write(cfg: ExperimentConfig, seed: int, amap, path: str) -> SeedFigures:
+    """One seed's trace, written to ``path`` and reduced to its figures; the trace
+    goes when this returns, so a run holds one seed's trace at a time."""
+    trace = _run_one_seed(cfg, seed, amap)
+    trace.write_csv(path)
+    return seed_figures(trace)
+
+
 def run_experiment(cfg: ExperimentConfig, base_dir: str | None = None) -> ExperimentResult:
-    """Fan the config out over its seed list and write trace + summary CSVs."""
+    """Fan the config out over its seed list and write trace + summary CSVs, each
+    trace as its seed finishes."""
     out_dir = cfg.output_dir
     if base_dir is not None:
         out_dir = os.path.join(base_dir, out_dir)
     os.makedirs(out_dir, exist_ok=True)
     amap = build_known_action_map(cfg) if cfg.algorithm.kind == "known" else None
-    traces, paths = [], []
-    for seed in cfg.seeds:
-        trace = _run_one_seed(cfg, seed, amap)
-        path = os.path.join(out_dir, f"trace_seed{seed:05d}.csv")
-        trace.write_csv(path)
-        traces.append(trace)
-        paths.append(path)
-    rows = summarize(traces)
+    paths = [os.path.join(out_dir, f"trace_seed{seed:05d}.csv") for seed in cfg.seeds]
+    figures = [_run_and_write(cfg, seed, amap, path) for seed, path in zip(cfg.seeds, paths)]
+    rows = summarize(figures)
     summary_path = os.path.join(out_dir, "summary.csv")
     write_summary_csv(rows, summary_path)
-    return ExperimentResult(config=cfg, traces=traces, trace_paths=paths,
+    return ExperimentResult(config=cfg, figures=figures, trace_paths=paths,
                             summary_rows=rows, summary_path=summary_path)
 
 
@@ -372,25 +377,48 @@ def default_checkpoints(T: int) -> list[int]:
     return sorted({max(1, T // 100), max(1, T // 10), max(1, T // 2), T})
 
 
-def summarize(traces: list[RegretTrace], checkpoints: list[int] | None = None) -> list[dict]:
-    """Cross-seed summary rows at each checkpoint round."""
-    if not traces:
-        raise ValueError("no traces to summarize")
-    T = len(traces[0])
-    for i, tr in enumerate(traces, 1):
-        if len(tr) != T:
-            raise ValueError(
-                f"trace length mismatch: trace {i} has {len(tr)} rounds, trace 1 has {T}"
-            )
+@dataclass(frozen=True)
+class SeedFigures:
+    """What the summary reads of one seed's trace."""
+
+    seed: int
+    rounds: int
+    checkpoint_regret: dict[int, float]  # checkpoint round -> cumulative regret after it
+    total_regret: float
+    bits_per_round: float
+
+
+def seed_figures(trace: RegretTrace, checkpoints: list[int] | None = None) -> SeedFigures:
+    """The trace reduced to its figures at ``checkpoints``, by default
+    default_checkpoints of its length."""
+    T = len(trace)
+    grid = default_checkpoints(T)  # refuses an empty trace
     if checkpoints is None:
-        checkpoints = default_checkpoints(T)
+        checkpoints = grid
     if any(not 1 <= t <= T for t in checkpoints):
         raise ValueError(f"checkpoints must lie in 1..{T}")
-    n = len(traces)
-    bits_per_round = float(np.mean([np.mean(tr.bits) for tr in traces]))
+    bits = int(trace.bits.sum(dtype=np.int64))  # exact, so the mean is as np.mean's
+    return SeedFigures(trace.seed, T, {t: trace.regret_at(t) for t in checkpoints},
+                       trace.total_regret, bits / T)
+
+
+def summarize(figures: list[SeedFigures]) -> list[dict]:
+    """Cross-seed summary rows at each checkpoint round of the seeds' figures."""
+    if not figures:
+        raise ValueError("no traces to summarize")
+    first = figures[0]
+    for i, f in enumerate(figures, 1):
+        if f.rounds != first.rounds:
+            raise ValueError(f"trace length mismatch: trace {i} has {f.rounds} rounds, "
+                             f"trace 1 has {first.rounds}")
+        if f.checkpoint_regret.keys() != first.checkpoint_regret.keys():
+            raise ValueError(f"checkpoint mismatch: trace {i} has {list(f.checkpoint_regret)}, "
+                             f"trace 1 has {list(first.checkpoint_regret)}")
+    n = len(figures)
+    bits_per_round = float(np.mean([f.bits_per_round for f in figures]))
     rows = []
-    for t in checkpoints:
-        vals = np.array([tr.regret_at(t) for tr in traces])
+    for t in first.checkpoint_regret:
+        vals = np.array([f.checkpoint_regret[t] for f in figures])
         mean = float(vals.mean())
         sd = float(vals.std(ddof=1)) if n > 1 else 0.0
         half = 1.96 * sd / math.sqrt(n)

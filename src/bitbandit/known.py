@@ -338,25 +338,28 @@ def simulate(spec: EnvironmentSpec, seed: int, broadcast, channel, learn) -> Reg
     come from the seed's two streams, environment and quantizer.
 
     The environment comes in blocks of rounds, drawn as sample_context then
-    realize_reward draw each round.  The regret reads one product of a block's
-    sets with theta*, rounded as regret_gap rounds each set's; the mean reward
-    stays the played row's own np.dot, as in mean_reward.
+    realize_reward draw each round, and the trace is filled a block at a time.
+    The regret reads one product of a block's sets with theta*, rounded as
+    regret_gap rounds each set's; the mean reward stays the played row's own
+    np.dot, as in mean_reward.
     """
     env_rng, quant_rng = seed_streams(seed)
-    trace = RegretTrace(seed, spec.digest())
+    trace = RegretTrace(seed, spec.digest(), capacity=spec.horizon)
     block = max(1, _BLOCK_VALUES // (spec.n_actions * spec.d))
     for start in range(0, spec.horizon, block):
         sets, uniforms = environment.sample_rounds(
             spec, min(block, spec.horizon - start), env_rng)
-        scores = sets @ spec.theta_star
-        for ctx, score, best, u in zip(sets, scores.tolist(), scores.max(axis=1).tolist(),
-                                       uniforms.tolist()):
+        actions, bits = [], []
+        for ctx, u in zip(sets, uniforms.tolist()):
             order = broadcast()
             action = order if isinstance(order, int) else greedy_action(ctx, order)
             r = environment.reward_of(spec, ctx[action], u)
-            received, bits = channel(ctx[action], r, quant_rng)
+            received, n_bits = channel(ctx[action], r, quant_rng)
             learn(*received)
-            trace.record(best - score[action], bits)
+            actions.append(action)
+            bits.append(n_bits)
+        scores = sets @ spec.theta_star
+        trace.extend(scores.max(axis=1) - scores[np.arange(len(actions)), actions], bits)
     return trace
 
 

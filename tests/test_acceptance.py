@@ -247,7 +247,7 @@ def test_07_quantized_vs_full_precision(tmp_path, csv_digests):
     )
     csv_digests.update(gauss_d5_quantized=golden.digests(quant),
                        gauss_d5_fullprec=golden.digests(full))
-    assert [tr.seed for tr in quant.traces] == [tr.seed for tr in full.traces]
+    assert [f.seed for f in quant.figures] == [f.seed for f in full.figures]
     q_by_t = {row["t"]: row for row in quant.summary_rows}
     f_by_t = {row["t"]: row for row in full.summary_rows}
     ratio = q_by_t[20_000]["mean_cum_regret"] / f_by_t[20_000]["mean_cum_regret"]
@@ -255,8 +255,8 @@ def test_07_quantized_vs_full_precision(tmp_path, csv_digests):
     rate_hi = q_by_t[20_000]["mean_cum_regret"] / 20_000
     bits_ok = q_by_t[20_000]["mean_bits_per_round"] == bit_budget(5)
     elapsed = time.perf_counter() - t0
-    q_final = np.array([tr.total_regret for tr in quant.traces])
-    f_final = np.array([tr.total_regret for tr in full.traces])
+    q_final = np.array([f.total_regret for f in quant.figures])
+    f_final = np.array([f.total_regret for f in full.figures])
     quartiles = np.percentile(q_final / f_final, [25, 50, 75])
     resamples = np.random.default_rng(20_000).integers(0, len(q_final), (10_000, len(q_final)))
     boot = q_final[resamples].mean(axis=1) / f_final[resamples].mean(axis=1)
@@ -336,7 +336,7 @@ def test_09_misspecification_trend(tmp_path, csv_digests):
         final = {row["t"]: row for row in res.summary_rows}[10_000]
         means.append(final["mean_cum_regret"])
         cis.append((final["ci95_lo"], final["ci95_hi"]))
-        finals.append({tr.seed: tr.total_regret for tr in res.traces})
+        finals.append({f.seed: f.total_regret for f in res.figures})
     ok = means[0] <= means[1] <= means[2]
     elapsed = time.perf_counter() - t0
     # the three configs share seeds and environment streams: seed-paired

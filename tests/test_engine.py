@@ -111,9 +111,9 @@ def test_engine_matches_scalar_oracle(case, monkeypatch):
     }[case]()
     (engine, engine_seen), (oracle, oracle_seen) = _runs(monkeypatch, run)
     assert len(engine) == len(oracle)
-    assert engine.inst_regret == oracle.inst_regret
-    assert engine.cum_regret == oracle.cum_regret
-    assert engine.bits == oracle.bits
+    assert engine.inst_regret.tolist() == oracle.inst_regret.tolist()
+    assert engine.cum_regret.tolist() == oracle.cum_regret.tolist()
+    assert engine.bits.tolist() == oracle.bits.tolist()
     assert engine_seen == oracle_seen
 
 

@@ -7,6 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
+from bitbandit import env as environment
+from bitbandit import known
 from bitbandit.env import (
     Bernoulli,
     BinarySupport,
@@ -232,6 +234,18 @@ class TestRewards:
             assert rng_a.random() == rng_b.random()
 
 
+@pytest.mark.parametrize("n, k, d", [(3000, 10, 5), (500, 10, 64), (70_001, 1, 1)])
+def test_sliced_squares_equal_the_unsliced_formula(n, k, d):
+    assert known._BLOCK_VALUES <= environment._SQUARE_VALUES  # a block of rounds: one slice
+    assert n * k * d > environment._SQUARE_VALUES  # more than one slice, ending inside one
+    sets = np.random.default_rng(n).standard_normal((n, k, d))
+    assert environment._sum_squares(sets).tobytes() == np.add.reduce(sets * sets, axis=2).tobytes()
+    law = GaussianProjected(scales=(0.5,) * k)
+    want = np.random.default_rng(1).standard_normal((n, k, d)) * law._stds
+    want /= np.maximum(np.sqrt(np.add.reduce(want * want, axis=2, keepdims=True)), 1.0)
+    assert law.sample(n, d, np.random.default_rng(1)).tobytes() == want.tobytes()
+
+
 class TestRegretTrace:
     def test_record_and_cumulative(self):
         trace = RegretTrace(seed=3, spec_digest="abc")
@@ -260,6 +274,29 @@ class TestRegretTrace:
         with pytest.raises(ValueError, match=re.escape(f"nonnegative integer, got {bits!r}")):
             trace.record(0.5, bits)
         assert len(trace) == 0
+
+    def test_a_refused_block_stores_nothing(self):
+        trace = RegretTrace(seed=0)
+        with pytest.raises(ValueError, match="nonnegative, got nan"):
+            trace.extend([0.5, math.nan], [1, 1])
+        with pytest.raises(ValueError, match=re.escape("below 2**31, got 2147483648")):
+            trace.extend([0.5, 0.5], [1, 1 << 31])  # stored as int32, never wrapped
+        with pytest.raises(ValueError, match="2 regrets but 1 bit counts"):
+            trace.extend([0.5, 0.5], [1])
+        assert len(trace) == 0
+
+    def test_read_csv_names_lines_past_its_first_chunk(self, tmp_path):
+        trace = RegretTrace(seed=0)
+        trace.extend(np.random.default_rng(0).random(3000), [2] * 3000)
+        path = tmp_path / "long.csv"
+        trace.write_csv(path)
+        assert RegretTrace.read_csv(path).cum_regret.tobytes() == trace.cum_regret.tobytes()
+        lines = path.read_text().splitlines()
+        lines[2501] = lines[2501].rpartition(",")[0] + ",-2"  # round 2501
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}, line 2502: bit count must be a nonnegative integer, got -2")):
+            RegretTrace.read_csv(path)
 
     def test_regret_at_bounds(self):
         trace = RegretTrace(seed=0)

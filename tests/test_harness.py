@@ -3,12 +3,14 @@
 import copy
 import hashlib
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import golden
 from bitbandit.cli import main as cli_main
 from bitbandit.env import RegretTrace
 from bitbandit.harness import (
@@ -23,6 +25,7 @@ from bitbandit.harness import (
     parse_config,
     read_summary_csv,
     run_experiment,
+    seed_figures,
     summarize,
 )
 
@@ -245,12 +248,12 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("seeds", [[0], [0, 1]])
     def test_rounds_stop_at_their_limit(self, seeds, tmp_path, capsys):
-        horizon = _ROUNDS_LIMIT // len(seeds)  # horizon + 1 is one round over with one seed
-        cfg = parse_config(make_config(environment__horizon=horizon, seeds=seeds))
-        assert cfg.spec.horizon * len(cfg.seeds) == _ROUNDS_LIMIT
-        raw = make_config(environment__horizon=horizon + 1, seeds=seeds)
-        message = (f"environment.horizon {horizon + 1} x {len(seeds)} seeds is over "
-                   f"the limit of {_ROUNDS_LIMIT} rounds")
+        # the limit is per seed: a run holds one seed's trace, whatever the seed count
+        cfg = parse_config(make_config(environment__horizon=_ROUNDS_LIMIT, seeds=seeds))
+        assert cfg.spec.horizon == _ROUNDS_LIMIT
+        raw = make_config(environment__horizon=_ROUNDS_LIMIT + 1, seeds=seeds)
+        message = (f"environment.horizon must be >= 1 and at most the limit of "
+                   f"{_ROUNDS_LIMIT}, got {_ROUNDS_LIMIT + 1}")
         with pytest.raises(ConfigValidationError, match=re.escape(message)):
             parse_config(raw)
         cfg_path = tmp_path / "long.yaml"
@@ -295,10 +298,11 @@ class TestRunExperiment:
     def test_writes_traces_and_summary(self, tmp_path):
         cfg = parse_config(make_config())
         result = run_experiment(cfg, base_dir=tmp_path)
-        assert len(result.traces) == 2
-        for path in result.trace_paths:
+        assert [f.seed for f in result.figures] == [0, 1]
+        for path, figures in zip(result.trace_paths, result.figures):
             trace = RegretTrace.read_csv(path)
-            assert len(trace) == 60
+            assert len(trace) == figures.rounds == 60
+            assert trace.total_regret == figures.total_regret
         rows = read_summary_csv(result.summary_path)
         assert rows == result.summary_rows
         assert rows[-1]["t"] == 60
@@ -328,10 +332,27 @@ class TestRunExperiment:
         raw["environment"]["horizon"] = 30
         cfg = parse_config(raw)
         result = run_experiment(cfg, base_dir=tmp_path)
-        assert len(result.traces) == 4  # and the run is reproducible:
+        assert len(result.figures) == 4  # and the run is reproducible:
         again = run_experiment(cfg, base_dir=tmp_path / "again")
-        for t1, t2 in zip(result.traces, again.traces):
-            np.testing.assert_array_equal(t1.inst_regret, t2.inst_regret)
+        for p1, p2 in zip(result.trace_paths, again.trace_paths):
+            np.testing.assert_array_equal(RegretTrace.read_csv(p1).inst_regret,
+                                          RegretTrace.read_csv(p2).inst_regret)
+
+    def test_memory_does_not_grow_with_the_seed_count(self, tmp_path):
+        # a run holds one seed's trace at a time; kept, 4 traces would be 4 times one
+        run_experiment(parse_config(make_config(environment__horizon=10)),
+                       base_dir=tmp_path / "warm-up")  # one-time allocations
+        peaks = []
+        for seeds in ([0], [0, 1, 2, 3]):
+            cfg = parse_config(make_config(environment__horizon=20_000, seeds=seeds,
+                                           algorithm={"kind": "naive_mean"}))
+            tracemalloc.start()
+            try:
+                run_experiment(cfg, base_dir=tmp_path / str(len(seeds)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], f"peak bytes with 1 and 4 seeds: {peaks}"
 
 
 # Golden figures of the RNG stream layout, one spec per algorithm kind, plus a
@@ -384,15 +405,18 @@ def test_rng_stream_layout_is_pinned(kind, tmp_path):
     env, algo, regret, bits = _PIN_CASES[kind]
     raw = {"schema": 1, "environment": copy.deepcopy(env), "algorithm": algo,
            "seeds": [17], "output_dir": "pin"}
-    trace = run_experiment(parse_config(raw), base_dir=tmp_path).traces[0]
+    path = run_experiment(parse_config(raw), base_dir=tmp_path).trace_paths[0]
+    trace = RegretTrace.read_csv(path)
     got = [trace.regret_at(t) for t in (3, 30, 150, 300)]
     assert got == pytest.approx(regret, rel=1e-9, abs=0.0)
-    assert trace.bits == [bits] * 300
+    assert trace.bits.tolist() == [bits] * 300
 
 
 # sha256 of each _PIN_CASES trace CSV.  The figures above compare at rel 1e-9;
 # these bytes move with any change of the last bit of any row, so a rewrite of
-# the per-round arithmetic must reproduce them exactly.
+# the per-round arithmetic must reproduce them exactly.  They belong to the NumPy
+# and BLAS of _PIN_PLATFORM, as golden.platform_stamp() names them.
+_PIN_PLATFORM = {"numpy": "2.4.6", "blas": "scipy-openblas", "blas_version": "0.3.31.188.0"}
 _PIN_SHA256 = {
     "full_precision": "af87cd308a58c6f096cd5a1c783c5b59e2a39658b26824f277dbe90de570c3db",
     "known": "fd466a2701fdbe46a20868964c15b25f6eb29c70ab16427899f3efd180611670",
@@ -409,7 +433,9 @@ def test_pinned_trace_bytes(kind, tmp_path):
            "seeds": [17], "output_dir": "pin"}
     path = run_experiment(parse_config(raw), base_dir=tmp_path).trace_paths[0]
     with open(path, "rb") as fh:
-        assert hashlib.sha256(fh.read()).hexdigest() == _PIN_SHA256[kind]
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    assert digest == _PIN_SHA256[kind], \
+        f"recorded on {_PIN_PLATFORM}, running on {golden.platform_stamp()}"
 
 
 class TestSummaries:
@@ -423,7 +449,7 @@ class TestSummaries:
     def test_summarize_means_and_ci(self):
         t1 = self._trace([1.0, 0.0, 1.0, 0.0], bits=5)
         t2 = self._trace([0.0, 0.0, 1.0, 1.0], bits=7)
-        rows = summarize([t1, t2], checkpoints=[2, 4])
+        rows = summarize([seed_figures(t1, [2, 4]), seed_figures(t2, [2, 4])])
         assert [r["t"] for r in rows] == [2, 4]
         assert rows[0]["mean_cum_regret"] == pytest.approx(0.5)
         assert rows[1]["mean_cum_regret"] == pytest.approx(2.0)
@@ -437,7 +463,9 @@ class TestSummaries:
         t1 = self._trace([1.0], bits=1)
         t2 = self._trace([1.0, 1.0], bits=1)
         with pytest.raises(ValueError, match="length"):
-            summarize([t1, t2])
+            summarize([seed_figures(t1), seed_figures(t2)])
+        with pytest.raises(ValueError, match=re.escape("checkpoint mismatch: trace 2 has [2]")):
+            summarize([seed_figures(t2, [1]), seed_figures(t2, [2])])
 
     def test_summarize_needs_a_trace(self):
         with pytest.raises(ValueError, match="no traces to summarize"):
@@ -446,7 +474,7 @@ class TestSummaries:
     def test_summarize_rejects_bad_checkpoints(self):
         t1 = self._trace([1.0, 1.0], bits=1)
         with pytest.raises(ValueError, match="checkpoints"):
-            summarize([t1], checkpoints=[3])
+            seed_figures(t1, [3])
 
     def test_default_checkpoints(self):
         assert default_checkpoints(10_000) == [100, 1000, 5000, 10_000]
