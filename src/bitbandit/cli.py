@@ -86,6 +86,11 @@ def _message_roundtrip_ok(d: int, rng: random.Random) -> bool:
 
 
 def _cmd_codec_selftest(args) -> int:
+    for flag, value, low in (("--max-d", args.max_d, 1), ("--samples", args.samples, 1),
+                             ("--exhaustive-limit", args.exhaustive_limit, 0)):
+        if value < low:  # a count that would check nothing
+            print(f"codec-selftest: {flag} must be >= {low}, got {value}", file=sys.stderr)
+            return 2
     rng = random.Random(0)  # stdlib: ranks can exceed any fixed-width integer
     failures = 0
     for d in range(1, args.max_d + 1):
@@ -99,13 +104,12 @@ def _cmd_codec_selftest(args) -> int:
             print(f"d={d}: enumerator size {enum.size} != q_size {q_size(d)}")
             failures += 1
         if enum.size <= args.exhaustive_limit:
-            ranks = range(enum.size)
+            mode, ranks = "exhaustive", range(enum.size)
         else:
-            ranks = (rng.randrange(enum.size) for _ in range(args.samples))
+            mode, ranks = "sampled", (rng.randrange(enum.size) for _ in range(args.samples))
         bad = sum(1 for r in ranks if enum.rank(enum.unrank(r)) != r)
         bad_msgs = sum(not _message_roundtrip_ok(d, rng) for _ in range(8))
         failures += bad + bad_msgs
-        mode = "exhaustive" if enum.size <= args.exhaustive_limit else "sampled"
         print(f"d={d:3d}: |Q|={enum.size}  budget={budget} bits  "
               f"roundtrip {mode} ok={bad == 0}  messages ok={bad_msgs == 0}")
     if failures:

@@ -123,16 +123,9 @@ class LatticeEnumerator:
             raise ValueError(f"dimension must be >= 1, got {d}")
         self.d = d
         self.budget = 2 * d
-        # _count[k][b] = C(b+k, k), built by Pascal recurrence.
-        count = [[1] * (self.budget + 1)]
-        for _ in range(d):
-            prev = count[-1]
-            row = [1] * (self.budget + 1)
-            for b in range(1, self.budget + 1):
-                row[b] = prev[b] + row[b - 1]
-            count.append(row)
-        self._count = count
-        self.size = count[d][self.budget]
+        self._count = [[math.comb(b + k, k) for b in range(self.budget + 1)]
+                       for k in range(d + 1)]
+        self.size = self._count[d][self.budget]
         self.width = (self.size - 1).bit_length()  # rank bits on the wire
 
     def rank(self, vec) -> int:

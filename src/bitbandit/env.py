@@ -458,14 +458,10 @@ def write_table(path, fields: dict, rows) -> None:
         writer.writerows(rows)
 
 
-def read_table(path, fields: dict) -> list[dict]:
-    """The rows of a write_table CSV as dicts, each cell cast by its column's type;
-    a wrong header, cell count or cell is a ValueError naming the file and line."""
-    return [dict(zip(fields, row)) for row in _iter_table(path, fields)]
-
-
-def _iter_table(path, fields: dict):
-    """read_table's rows one at a time, each a tuple in column order."""
+def read_table(path, fields: dict):
+    """The rows of a write_table CSV one at a time, each a tuple in column order with
+    every cell cast by its column's type; a wrong header, cell count or cell is a
+    ValueError naming the file and line."""
     casts = tuple(fields.values())
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -525,10 +521,6 @@ class RegretTrace:
     def bits(self) -> np.ndarray:
         return self._bits[:self._n]
 
-    def record(self, inst: float, bits: int) -> None:
-        """Append one round; see extend."""
-        self.extend([inst], [bits])
-
     def extend(self, inst, bits) -> None:
         """Append rounds: their regrets and their bit counts, Python ints.  A block
         with a regret or a count that _first_refused names is a ValueError, and none
@@ -580,37 +572,42 @@ class RegretTrace:
     @classmethod
     def read_csv(cls, path) -> "RegretTrace":
         """A trace as write_csv wrote it, fed through extend() _CSV_ROWS rows at a time.
-        A row that is not the next round, that extend() refuses, or whose cum_regret is
-        not the running sum is a ValueError naming the file and line."""
-        trace = cls(seed=-1)
-        rows = _iter_table(path, TRACE_FIELDS)
-        while chunk := list(itertools.islice(rows, _CSV_ROWS)):
+        The earliest row that is not the next round, that extend() refuses, whose
+        cum_regret is not the running sum or that read_table cannot read is a
+        ValueError naming the file and line; faults on one row rank in that order."""
+        trace, rows, unread = cls(seed=-1), read_table(path, TRACE_FIELDS), None
+        while unread is None:
+            chunk = []
+            try:
+                for row in itertools.islice(rows, _CSV_ROWS):
+                    chunk.append(row)
+            except ValueError as exc:  # the next row does not parse: it ends the trace
+                unread = exc
+            if not chunk:
+                break
             lo = len(trace)
             ts, inst, cums, bits = zip(*chunk)
-            # the rows before the first that is not the next round or that extend() refuses
-            ok = next((i for i, t in enumerate(ts) if t != lo + i + 1), len(ts))
-            refused = _first_refused(np.array(inst[:ok]), bits[:ok])
-            ok = refused[0] if refused else ok
+            faults = [fault for fault in (
+                next(((i, f"round {t} where round {lo + i + 1} belongs")
+                      for i, t in enumerate(ts) if t != lo + i + 1), None),
+                _first_refused(np.array(inst), bits)) if fault]
+            ok = min((i for i, _ in faults), default=len(chunk))
             trace.extend(inst[:ok], bits[:ok])
-            sums = trace.cum_regret[lo:]
-            wrong = np.flatnonzero(np.array(cums[:ok]) != sums)  # exact: floats go as their repr
-            if wrong.size:
-                i = int(wrong[0])
-                problem = f"cum_regret {cums[i]!r} is not the running sum {float(sums[i])!r}"
-            elif ok < len(ts):
-                i = ok
-                problem = (refused[1] if refused else
-                           f"round {ts[i]} where round {lo + i + 1} belongs")
-            else:
-                continue
-            raise ValueError(f"{path}, line {lo + i + 2}: {problem}")
+            sums = trace.cum_regret[lo:]  # exact below: floats go as their repr
+            faults += [(i, f"cum_regret {cums[i]!r} is not the running sum {float(sums[i])!r}")
+                       for i in np.flatnonzero(np.array(cums[:ok]) != sums)[:1]]
+            if faults:  # the earliest row; of one row's faults, the first listed
+                i, problem = min(faults, key=lambda fault: fault[0])
+                raise ValueError(f"{path}, line {lo + i + 2}: {problem}")
+        if unread:
+            raise unread
         return trace
 
 
 def regret_step(trace: RegretTrace, context_set: np.ndarray, theta_star: np.ndarray,
                 action: int, bits: int) -> RegretTrace:
     """Append one round's regret and uplink bits to the trace."""
-    trace.record(regret_gap(context_set, theta_star, action), bits)
+    trace.extend([regret_gap(context_set, theta_star, action)], [bits])
     return trace
 
 

@@ -125,6 +125,18 @@ class AlgorithmConfig:
     solve_min_rounds: int | None = _key(None, _at_least(int, 0), "unknown", "full_precision")
 
 
+# algorithm kind -> one seed's trace from the config, the seed and the known-dist
+# learner's unperturbed action map; a run function is looked up here when a seed runs
+_RUNS = {
+    "known": lambda cfg, seed, amap: run_known(
+        cfg.spec, _misspecify_for_seed(cfg, seed, amap), seed, lam=cfg.algorithm.ridge),
+    "naive_mean": lambda cfg, seed, _: run_naive_baseline(cfg.spec, seed, lam=cfg.algorithm.ridge),
+    "unknown": lambda cfg, seed, _: run_unknown(cfg.spec, seed, cfg.algorithm.solve_min_rounds),
+    "full_precision": lambda cfg, seed, _: run_full_precision(
+        cfg.spec, seed, cfg.algorithm.solve_min_rounds),
+}
+
+
 def _algorithm_layout(kind: str) -> tuple:
     """The keys an ``algorithm`` node of ``kind`` may set, and the config they build."""
     return ({f.name: f for f in fields(AlgorithmConfig) if kind in f.metadata.get("kinds", ())},
@@ -142,8 +154,7 @@ _LAYOUT = {  # each top-level key of a config file and the layout _read reads it
         "noise_model": _Kinds({kind: (law.node_shape(), law.from_node)
                                for kind, law in NOISE_LAWS.items()}),
     }, lambda env: EnvironmentSpec(n_actions=env.pop("actions"), **env)),
-    "algorithm": _Kinds({kind: _algorithm_layout(kind)
-                         for kind in ("known", "naive_mean", "unknown", "full_precision")}),
+    "algorithm": _Kinds({kind: _algorithm_layout(kind) for kind in _RUNS}),
     "seeds": [_at_least(int, 0)],
     "output_dir": _Leaf(str, bool, "a non-empty string"),
 }
@@ -300,51 +311,25 @@ class ExperimentResult:
     summary_path: str
 
 
-def _resolve_theta_grid(cfg: ExperimentConfig) -> np.ndarray:
-    algo = cfg.algorithm
-    if algo.theta_grid:
-        return np.asarray(algo.theta_grid, dtype=float)
-    return theta_net(cfg.spec.d, algo.net_points)
-
-
 def build_known_action_map(cfg: ExperimentConfig):
-    """Exact (unperturbed) action map for the known-dist learner."""
+    """Exact (unperturbed) action map for the known-dist learner over its theta_grid or net."""
     algo = cfg.algorithm
-    rng = np.random.default_rng(algo.xstar_seed)
-    return build_action_map(
-        cfg.spec, _resolve_theta_grid(cfg), method=algo.xstar_method,
-        n_samples=algo.xstar_samples, rng=rng,
-    )
+    return build_action_map(cfg.spec, algo.theta_grid or theta_net(cfg.spec.d, algo.net_points),
+                            method=algo.xstar_method, n_samples=algo.xstar_samples,
+                            rng=np.random.default_rng(algo.xstar_seed))
 
 
 def _misspecify_for_seed(cfg: ExperimentConfig, seed: int, amap):
     """Displace the map by epsilon along a direction drawn per simulation seed."""
     algo = cfg.algorithm
-    if algo.misspec_epsilon <= 0:
-        return amap
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=(algo.misspec_seed, seed))
-    )
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(algo.misspec_seed, seed)))
     return misspecify_xstar(amap, algo.misspec_epsilon, rng)
-
-
-def _run_one_seed(cfg: ExperimentConfig, seed: int, amap) -> RegretTrace:
-    spec, algo = cfg.spec, cfg.algorithm
-    if algo.kind == "known":
-        return run_known(spec, _misspecify_for_seed(cfg, seed, amap), seed, lam=algo.ridge)
-    if algo.kind == "naive_mean":
-        return run_naive_baseline(spec, seed, lam=algo.ridge)
-    if algo.kind == "unknown":
-        return run_unknown(spec, seed, solve_min_rounds=algo.solve_min_rounds)
-    if algo.kind == "full_precision":
-        return run_full_precision(spec, seed, solve_min_rounds=algo.solve_min_rounds)
-    raise ValueError(f"unknown algorithm kind {algo.kind!r}")
 
 
 def _run_and_write(cfg: ExperimentConfig, seed: int, amap, path: str) -> SeedFigures:
     """One seed's trace, written to ``path`` and reduced to its figures; the trace
     goes when this returns, so a run holds one seed's trace at a time."""
-    trace = _run_one_seed(cfg, seed, amap)
+    trace = _RUNS[cfg.algorithm.kind](cfg, seed, amap)
     trace.write_csv(path)
     return seed_figures(trace)
 
@@ -388,15 +373,10 @@ class SeedFigures:
     bits_per_round: float
 
 
-def seed_figures(trace: RegretTrace, checkpoints: list[int] | None = None) -> SeedFigures:
-    """The trace reduced to its figures at ``checkpoints``, by default
-    default_checkpoints of its length."""
+def seed_figures(trace: RegretTrace) -> SeedFigures:
+    """The trace reduced to its figures at default_checkpoints of its length."""
     T = len(trace)
-    grid = default_checkpoints(T)  # refuses an empty trace
-    if checkpoints is None:
-        checkpoints = grid
-    if any(not 1 <= t <= T for t in checkpoints):
-        raise ValueError(f"checkpoints must lie in 1..{T}")
+    checkpoints = default_checkpoints(T)  # refuses an empty trace
     bits = int(trace.bits.sum(dtype=np.int64))  # exact, so the mean is as np.mean's
     return SeedFigures(trace.seed, T, {t: trace.regret_at(t) for t in checkpoints},
                        trace.total_regret, bits / T)
@@ -440,4 +420,5 @@ def write_summary_csv(rows: list[dict], path) -> None:
 
 
 def read_summary_csv(path) -> list[dict]:
-    return read_table(path, SUMMARY_FIELDS)
+    """summary.csv's rows as dicts keyed by SUMMARY_FIELDS."""
+    return [dict(zip(SUMMARY_FIELDS, row)) for row in read_table(path, SUMMARY_FIELDS)]

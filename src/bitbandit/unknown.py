@@ -59,8 +59,8 @@ class UnknownLearnerState:
     v_tilde: np.ndarray
     theta_hat: np.ndarray
     probe_l1: float
+    solve_min_rounds: int
     t: int = 0
-    solve_min_rounds: int = 1
     pinv_fallbacks: int = 0
 
     @property

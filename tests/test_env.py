@@ -6,10 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitbandit import env as environment
 from bitbandit import known
 from bitbandit.env import (
+    TRACE_FIELDS,
     Bernoulli,
     BinarySupport,
     CustomDiscrete,
@@ -20,6 +23,7 @@ from bitbandit.env import (
     assumption2_diagnostic,
     context_mean,
     mean_reward,
+    read_table,
     realize_reward,
     regret_gap,
     regret_step,
@@ -246,12 +250,43 @@ def test_sliced_squares_equal_the_unsliced_formula(n, k, d):
     assert law.sample(n, d, np.random.default_rng(1)).tobytes() == want.tobytes()
 
 
+def _read_row_by_row(path) -> RegretTrace:
+    """RegretTrace.read_csv's reference: the rows one at a time, each through a one-row
+    extend(), stopping at the first that read_table cannot read, that is not the next
+    round, that extend() refuses or whose cum_regret is not the running sum."""
+    trace = RegretTrace(seed=-1)
+    for line, (t, inst, cum, bits) in enumerate(read_table(path, TRACE_FIELDS), 2):
+        if t != len(trace) + 1:
+            raise ValueError(f"{path}, line {line}: round {t} where round {len(trace) + 1} "
+                             f"belongs")
+        try:
+            trace.extend([inst], [bits])
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {line}: {exc}") from None
+        if cum != trace.total_regret:
+            raise ValueError(f"{path}, line {line}: cum_regret {cum!r} is not the running "
+                             f"sum {trace.total_regret!r}")
+    return trace
+
+
+# a fault of each kind: its variant v of a row's cells [t, inst_regret, cum_regret, bits]
+_FAULTS = {
+    "order": lambda c, v: [str(int(c[0]) + (1, -1, 5, -7)[v]), *c[1:]],
+    "regret": lambda c, v: [c[0], ("-0.25", "nan", "inf", "-inf")[v], *c[2:]],
+    "bits": lambda c, v: [*c[:3], ("-3", str(1 << 31), "-1", str(10 ** 12))[v]],
+    "sum": lambda c, v: [*c[:2], repr(float(c[2]) + (0.5, 1.0, -0.25, 2.0)[v]), *c[3:]],
+    "cell": lambda c, v: ([*c[:3], "x"], [c[0], "half", *c[2:]], c[:3], [*c, "0"])[v],
+}
+# rows on both sides of the first two 1024-row chunk boundaries
+_NEAR_BOUNDARIES = [1, 2, 1023, 1024, 1025, 1026, 2047, 2048, 2049, 2050]
+
+
 class TestRegretTrace:
     def test_record_and_cumulative(self):
         trace = RegretTrace(seed=3, spec_digest="abc")
-        trace.record(0.5, bits=5)
-        trace.record(0.0, bits=5)
-        trace.record(0.25, bits=5)
+        trace.extend([0.5], [5])
+        trace.extend([0.0], [5])
+        trace.extend([0.25], [5])
         assert len(trace) == 3
         assert trace.total_regret == pytest.approx(0.75)
         assert trace.regret_at(2) == pytest.approx(0.5)
@@ -259,20 +294,20 @@ class TestRegretTrace:
     def test_negative_regret_rejected(self):
         trace = RegretTrace(seed=0)
         with pytest.raises(ValueError):
-            trace.record(-0.1, bits=1)
+            trace.extend([-0.1], [1])
 
     @pytest.mark.parametrize("inst", [math.nan, math.inf])
     def test_non_finite_regret_rejected(self, inst):
         trace = RegretTrace(seed=0)
         with pytest.raises(ValueError, match=f"finite and nonnegative, got {inst}"):
-            trace.record(inst, bits=1)
+            trace.extend([inst], [1])
         assert len(trace) == 0
 
     @pytest.mark.parametrize("bits", [-1, 2.0, True, np.int64(3)])
     def test_bit_count_must_be_a_nonnegative_int(self, bits):
         trace = RegretTrace(seed=0)
         with pytest.raises(ValueError, match=re.escape(f"nonnegative integer, got {bits!r}")):
-            trace.record(0.5, bits)
+            trace.extend([0.5], [bits])
         assert len(trace) == 0
 
     def test_a_refused_block_stores_nothing(self):
@@ -298,9 +333,48 @@ class TestRegretTrace:
                 f"{path}, line 2502: bit count must be a nonnegative integer, got -2")):
             RegretTrace.read_csv(path)
 
+    @pytest.mark.parametrize("bad_line", [500, 1100])  # inside the first chunk, and past it
+    def test_read_csv_names_the_earliest_fault_wherever_the_chunk_ends(self, tmp_path,
+                                                                        bad_line):
+        trace = RegretTrace(seed=0)
+        trace.extend(np.random.default_rng(0).random(1200), [2] * 1200)
+        path = tmp_path / "trace.csv"
+        trace.write_csv(path)
+        lines = path.read_text().splitlines()
+        lines[2] = "2,0.5,0.25,2"  # line 3: not the running sum
+        lines[bad_line - 1] = lines[bad_line - 1].rpartition(",")[0] + ",x"  # does not parse
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}, line 3: cum_regret 0.25 is not the running sum")):
+            RegretTrace.read_csv(path)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.integers(2050, 2300), st.integers(0, 2 ** 32 - 1), st.lists(
+        st.tuples(st.sampled_from(sorted(_FAULTS)),
+                  st.sampled_from(_NEAR_BOUNDARIES) | st.integers(1, 2049),
+                  st.integers(0, 3)), min_size=1, max_size=3))
+    def test_read_csv_matches_a_row_by_row_reader(self, tmp_path_factory, n, seed, faults):
+        rng = np.random.default_rng(seed)
+        trace = RegretTrace(seed=0)
+        trace.extend(rng.random(n), rng.integers(0, 40, n).tolist())
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        trace.write_csv(path)
+        lines = path.read_text().splitlines()
+        for kind, row, variant in faults:
+            lines[row] = ",".join(_FAULTS[kind](lines[row].split(","), variant))
+        path.write_text("\n".join(lines) + "\n")
+
+        def outcome(read):
+            try:
+                return read(path).cum_regret.tobytes()
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(RegretTrace.read_csv) == outcome(_read_row_by_row)
+
     def test_regret_at_bounds(self):
         trace = RegretTrace(seed=0)
-        trace.record(1.0, bits=1)
+        trace.extend([1.0], [1])
         with pytest.raises(ValueError):
             trace.regret_at(0)
         with pytest.raises(ValueError):
@@ -310,7 +384,7 @@ class TestRegretTrace:
         rng = np.random.default_rng(42)
         trace = RegretTrace(seed=11, spec_digest="d1")
         for _ in range(50):
-            trace.record(float(rng.random()), bits=int(rng.integers(1, 30)))
+            trace.extend([float(rng.random())], [int(rng.integers(1, 30))])
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         trace.write_csv(p1)
         trace.write_csv(p2)
@@ -326,7 +400,7 @@ class TestRegretTrace:
         ("t,inst_regret,cum_regret,bits\n1,0.5,0.5,5\n2,0.5,1.0,5,7\n", "line 3", "longer"),
         ("t,inst_regret,cum_regret,bits\n1,0.5,0.5,five\n", "line 2", "'five'"),
         ("t,inst_regret,cum_regret,bits\n1,half,0.5,5\n", "line 2", "'half'"),
-        # rows record() would not keep, or whose sum is not the one it keeps
+        # rows extend() would not keep, or whose sum is not the one it keeps
         ("t,inst_regret,cum_regret,bits\n1,0.5,0.5,5\n3,0.25,0.75,5\n2,0.0,0.75,5\n",
          "line 3", "round 3 where round 2 belongs"),
         ("t,inst_regret,cum_regret,bits\n1,0.5,0.5,5\n2,-0.25,0.25,5\n", "line 3",

@@ -18,6 +18,7 @@ from bitbandit.harness import (
     _ROUNDS_LIMIT,
     _XSTAR_SAMPLES_LIMIT,
     ConfigValidationError,
+    SeedFigures,
     config_to_dict,
     default_checkpoints,
     dump_config,
@@ -325,6 +326,14 @@ class TestRunExperiment:
         result = run_experiment(parse_config(raw), base_dir=tmp_path)
         assert result.summary_rows[-1]["mean_bits_per_round"] == 5.0  # d=1 budget
 
+    def test_naive_mean_runs_on_a_gaussian_law(self, tmp_path):
+        # its menu is the per-action means, all zero for a symmetric Gaussian law
+        raw = make_config(environment__context_model=CONTEXT_MODELS["gaussian_projected"],
+                          environment__horizon=40, algorithm={"kind": "naive_mean"})
+        result = run_experiment(parse_config(raw), base_dir=tmp_path)
+        assert result.summary_rows[-1]["t"] == 40
+        assert result.summary_rows[-1]["mean_bits_per_round"] == 1.0
+
     def test_misspec_directions_vary_per_seed(self, tmp_path):
         raw = make_config()
         raw["algorithm"]["misspec_epsilon"] = 0.1
@@ -442,14 +451,13 @@ class TestSummaries:
     @staticmethod
     def _trace(vals, bits):
         tr = RegretTrace(seed=0)
-        for v in vals:
-            tr.record(v, bits)
+        tr.extend(vals, [bits] * len(vals))
         return tr
 
     def test_summarize_means_and_ci(self):
         t1 = self._trace([1.0, 0.0, 1.0, 0.0], bits=5)
         t2 = self._trace([0.0, 0.0, 1.0, 1.0], bits=7)
-        rows = summarize([seed_figures(t1, [2, 4]), seed_figures(t2, [2, 4])])
+        rows = summarize([seed_figures(t1), seed_figures(t2)])[1:]  # past t = 1
         assert [r["t"] for r in rows] == [2, 4]
         assert rows[0]["mean_cum_regret"] == pytest.approx(0.5)
         assert rows[1]["mean_cum_regret"] == pytest.approx(2.0)
@@ -464,17 +472,13 @@ class TestSummaries:
         t2 = self._trace([1.0, 1.0], bits=1)
         with pytest.raises(ValueError, match="length"):
             summarize([seed_figures(t1), seed_figures(t2)])
+        hand_built = [SeedFigures(0, 2, {t: 1.0}, 2.0, 1.0) for t in (1, 2)]
         with pytest.raises(ValueError, match=re.escape("checkpoint mismatch: trace 2 has [2]")):
-            summarize([seed_figures(t2, [1]), seed_figures(t2, [2])])
+            summarize(hand_built)
 
     def test_summarize_needs_a_trace(self):
         with pytest.raises(ValueError, match="no traces to summarize"):
             summarize([])
-
-    def test_summarize_rejects_bad_checkpoints(self):
-        t1 = self._trace([1.0, 1.0], bits=1)
-        with pytest.raises(ValueError, match="checkpoints"):
-            seed_figures(t1, [3])
 
     def test_default_checkpoints(self):
         assert default_checkpoints(10_000) == [100, 1000, 5000, 10_000]
@@ -529,6 +533,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ok" in out.lower()
         assert out.count("messages ok=True") == 4  # framed messages, d = 1..4
+
+    def test_codec_selftest_samples_ranks_past_the_exhaustive_limit(self, capsys):
+        argv = ["codec-selftest", "--max-d", "7", "--exhaustive-limit", "100", "--samples", "20"]
+        assert cli_main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.count("roundtrip exhaustive ok=True") == 3  # |Q| = 3, 15, 84
+        assert out.count("roundtrip sampled ok=True") == 4  # |Q| = 495 ... 116280
+        assert out.endswith("selftest passed\n")
+
+    @pytest.mark.parametrize("flag, value, low", [
+        ("--max-d", "0", 1), ("--samples", "0", 1), ("--exhaustive-limit", "-1", 0)])
+    def test_codec_selftest_refuses_a_count_that_checks_nothing(self, capsys, flag, value, low):
+        assert cli_main(["codec-selftest", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"codec-selftest: {flag} must be >= {low}, got {value}\n"
+        assert captured.out == ""
+
+    def test_xstar_refuses_a_config_without_a_known_distribution(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.yaml"
+        with open(cfg_path, "w") as fh:
+            yaml.safe_dump(make_config(algorithm={"kind": "unknown"}), fh)
+        assert cli_main(["xstar", str(cfg_path)]) == 2
+        assert "xstar tables apply to the known-dist learner only" in capsys.readouterr().err
 
     def test_xstar_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.yaml"
