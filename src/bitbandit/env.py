@@ -333,7 +333,8 @@ class EnvironmentSpec:
             )
         elif not np.all(np.isfinite(self.theta_star)):
             problems.append(f"theta_star entries must be finite, got {self.theta_star.tolist()}")
-        elif (peak := np.abs(self.theta_star).max()) > 1.0 + _TOL:  # before a norm can overflow
+        # the peak first, before a norm can overflow; an empty theta* (d = 0) has none
+        elif self.theta_star.size and (peak := np.abs(self.theta_star).max()) > 1.0 + _TOL:
             problems.append(f"||theta_star|| exceeds 1: an entry has magnitude {peak:.6g}")
         elif np.linalg.norm(self.theta_star) > 1.0 + _TOL:
             problems.append(
@@ -344,7 +345,7 @@ class EnvironmentSpec:
         return problems + self.context_model.check(self.d, self.n_actions)
 
     def digest(self) -> str:
-        """Stable hash of the spec, recorded in traces for provenance.
+        """Stable hash of the spec, for provenance.
 
         Every field is hashed by type, dtype, shape and raw bytes, never by its
         printed form, which NumPy abbreviates for large arrays.
@@ -417,7 +418,11 @@ def context_mean(spec: EnvironmentSpec, action: int) -> np.ndarray:
 
 def mean_reward(spec: EnvironmentSpec, x: np.ndarray) -> float:
     """Mapped mean reward of playing feature vector x: (<x, theta*> + 1) / 2."""
-    score = float(np.dot(x, spec.theta_star))
+    return _mapped_mean(float(np.dot(x, spec.theta_star)))
+
+
+def _mapped_mean(score: float) -> float:
+    """(score + 1) / 2 of a play's score <x, theta*>, which must lie in [-1, 1]."""
     if abs(score) > 1.0 + _TOL:
         raise AssumptionViolation(f"|<x, theta*>| = {abs(score)} exceeds 1")
     return min(max((score + 1.0) / 2.0, 0.0), 1.0)
@@ -425,12 +430,13 @@ def mean_reward(spec: EnvironmentSpec, x: np.ndarray) -> float:
 
 def realize_reward(spec: EnvironmentSpec, x: np.ndarray, rng: np.random.Generator) -> float:
     """Draw one reward in [0, 1] with conditional mean mean_reward(spec, x)."""
-    return reward_of(spec, x, rng.random())
+    return reward_of(spec, float(np.dot(x, spec.theta_star)), rng.random())
 
 
-def reward_of(spec: EnvironmentSpec, x: np.ndarray, u: float) -> float:
-    """The reward in [0, 1] of playing x that the round's reward uniform u gives."""
-    r = spec.noise_model.reward(mean_reward(spec, x), u)
+def reward_of(spec: EnvironmentSpec, score: float, u: float) -> float:
+    """The reward in [0, 1] that the round's reward uniform u gives a play of score
+    <x, theta*>, as np.dot(x, theta*) computes it."""
+    r = spec.noise_model.reward(_mapped_mean(score), u)
     if not 0.0 - _TOL <= r <= 1.0 + _TOL:
         raise AssumptionViolation(f"realized reward {r} outside [0, 1]")
     return min(max(r, 0.0), 1.0)
@@ -451,11 +457,12 @@ TRACE_FIELDS = {"t": int, "inst_regret": float, "cum_regret": float, "bits": int
 
 
 def write_table(path, fields: dict, rows) -> None:
-    """``rows`` (sequences in column order) under a ``fields`` header; floats go as their repr."""
+    """``rows`` (tuples of numbers in column order) under a ``fields`` header, as
+    csv.writer writes them: every cell is a number, so each row is one %s format."""
+    row = ",".join(["%s"] * len(fields)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        writer.writerows(rows)
+        fh.write(",".join(fields) + "\r\n")
+        fh.writelines(row % cells for cells in rows)
 
 
 def read_table(path, fields: dict):
@@ -499,9 +506,8 @@ class RegretTrace:
     """Per-round regret and uplink-bit log for one simulation: float64 regret and
     running sum and int32 bit counts, 20 B a round."""
 
-    def __init__(self, seed: int, spec_digest: str = "", capacity: int = 0):
+    def __init__(self, seed: int, capacity: int = 0):
         self.seed = seed
-        self.spec_digest = spec_digest
         self._n = 0
         self._inst, self._cum = np.empty(capacity), np.empty(capacity)
         self._bits = np.empty(capacity, dtype=np.int32)

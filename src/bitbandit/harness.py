@@ -416,7 +416,8 @@ def summarize(figures: list[SeedFigures]) -> list[dict]:
 
 def write_summary_csv(rows: list[dict], path) -> None:
     """One line per row, in SUMMARY_FIELDS order."""
-    write_table(path, SUMMARY_FIELDS, ([row[name] for name in SUMMARY_FIELDS] for row in rows))
+    write_table(path, SUMMARY_FIELDS, (tuple([row[name] for name in SUMMARY_FIELDS])
+                                       for row in rows))
 
 
 def read_summary_csv(path) -> list[dict]:

@@ -15,17 +15,20 @@ learner (LinUCB here; least squares in :mod:`bitbandit.unknown`).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
+from numpy._core.multiarray import c_einsum  # np.einsum's own kernel; see ROADMAP.md
 from numpy.linalg import _umath_linalg  # np.linalg.solve's own gufuncs; see ROADMAP.md
 
 from . import env as environment
 from .codec import BitBuffer, decode_known, encode_known
 from .env import EnvironmentSpec, RegretTrace
 from .env import regret_step  # noqa: F401  the layer name bench/child.py times here
-from .quantizer import StochasticQuantizer
+from .quantizer import reward_bit
 
 __all__ = [
     "greedy_action",
@@ -37,6 +40,7 @@ __all__ = [
     "misspecify_xstar",
     "theta_net",
     "LinUcb",
+    "Channel",
     "one_bit_channel",
     "seed_streams",
     "simulate",
@@ -44,12 +48,12 @@ __all__ = [
     "run_naive_baseline",
 ]
 
-REWARD_BIT = StochasticQuantizer(1, 0.0, 1.0)  # every channel's reward in [0, 1] -> 0 or 1
 _ATOM_LIMIT = 1 << 16  # max support atoms per action for exact xstar (binary: d <= 16)
 # Context sets per Monte-Carlo draw.  A custom law draws per action per chunk, so
 # another size would reorder its draws and change the table.
 _XSTAR_CHUNK = 20_000
 _BLOCK_VALUES = 8192  # context values per block of rounds that simulate draws: ~64 KiB
+_OUTER_VALUES = 1 << 17  # largest n d^2 whose menu outer products LinUcb tabulates: 1 MiB
 
 
 def greedy_action(context_set: np.ndarray, theta: np.ndarray) -> int:
@@ -121,16 +125,25 @@ def _xstar_row(supports, theta: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _theta_of(spec: EnvironmentSpec, theta) -> np.ndarray:
+    """theta as a float array of length d; another length is a ValueError."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (spec.d,):
+        raise ValueError(f"theta must have length d={spec.d}, got shape {theta.shape}")
+    return theta
+
+
 def exact_xstar(spec: EnvironmentSpec, theta: np.ndarray) -> np.ndarray | None:
     """E[greedy-played context], exactly, for a finite context law.
 
     Returns None when exact_xstar_obstacle names a reason it is unavailable,
     in which case a Monte-Carlo estimate must be used.
     """
+    theta = _theta_of(spec, theta)
     supports = _finite_supports(spec)
     if supports is None:
         return None
-    return _xstar_row(supports, np.asarray(theta, dtype=float))
+    return _xstar_row(supports, theta)
 
 
 def estimate_xstar(spec: EnvironmentSpec, theta: np.ndarray, n_samples: int,
@@ -138,7 +151,7 @@ def estimate_xstar(spec: EnvironmentSpec, theta: np.ndarray, n_samples: int,
     """Monte-Carlo estimate of E[greedy-played context] from n_samples draws."""
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    theta = np.asarray(theta, dtype=float)
+    theta = _theta_of(spec, theta)
     acc = np.zeros(spec.d)
     left = n_samples
     while left > 0:
@@ -171,6 +184,8 @@ def build_action_map(spec: EnvironmentSpec, thetas, method: str = "auto",
     """Tabulate xstar over a theta grid, exactly when the law is finite and small
     enough (exact_xstar_obstacle), else by Monte-Carlo unless ``method`` is exact."""
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
+    if thetas.ndim != 2 or thetas.shape[1] != spec.d:
+        raise ValueError(f"theta rows must have length d={spec.d}, got shape {thetas.shape}")
     if method not in ("auto", "exact", "monte-carlo"):
         raise ValueError(f"unknown xstar method {method!r}")
     supports = None if method == "monte-carlo" else _finite_supports(spec)
@@ -187,8 +202,8 @@ def build_action_map(spec: EnvironmentSpec, thetas, method: str = "auto",
 
 def misspecify_xstar(amap: ActionMap, eps: float, rng: np.random.Generator) -> ActionMap:
     """Displace every table entry by exactly eps in a random direction."""
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    if not 0.0 <= eps < math.inf:  # NaN fails too
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     if eps == 0.0:
         return ActionMap(amap.thetas.copy(), amap.table.copy(), amap.provenance)
     dirs = rng.standard_normal(amap.table.shape)
@@ -255,7 +270,16 @@ class LinUcb:
         if not (math.isfinite(lam) and lam > 0):
             raise ValueError(f"ridge parameter must be positive and finite, got {lam}")
         self.lam = lam
+        self._sqrt_lam = math.sqrt(lam)
         self._actions_t = np.ascontiguousarray(self.actions.T)
+        # each row's x x^T as update() computes it, tabulated for a small menu only (a
+        # lookup is ~1.4 us faster than the product); a huge row overflows to inf here
+        # rather than in update(), and select()'s NaN index check still applies
+        self._outer = None
+        if self.n * self.d * self.d <= _OUTER_VALUES:
+            with np.errstate(all="ignore"):
+                self._outer = self.actions[:, :, None] * self.actions[:, None, :]
+        self._widths, self._ucb = np.empty(self.n), np.empty(self.n)
         # lowest index of each row's identical copies: identical rows tie, but
         # the product actions @ theta may round them apart by their position
         _, first, inverse = np.unique(self.actions, axis=0, return_index=True,
@@ -267,17 +291,19 @@ class LinUcb:
         self._pending: int | None = None
 
     def _beta(self, t: int) -> float:
-        return math.sqrt(self.lam) + math.sqrt(
+        return self._sqrt_lam + math.sqrt(
             2.0 * math.log(t) + self.d * math.log(1.0 + t / (self.lam * self.d))
         )
 
     def _estimate(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ridge estimate theta = V^-1 b and each action's width sqrt(x^T V^-1 x)."""
+        """The ridge estimate theta = V^-1 b and each action's width sqrt(x^T V^-1 x),
+        the widths written into a buffer that the next call overwrites."""
         # np.linalg.solve's own kernels, without the wrapper whose errstate turns
         # a singular system into LinAlgError: V = lam I + sum x x^T, lam > 0, is not
         theta = _umath_linalg.solve1(self.V, self.b, signature="dd->d")
         vinv_x = _umath_linalg.solve(self.V, self._actions_t, signature="dd->d")  # (d, n)
-        return theta, np.sqrt(np.einsum("nd,dn->n", self.actions, vinv_x))
+        widths = c_einsum("nd,dn->n", self.actions, vinv_x, out=self._widths)
+        return theta, np.sqrt(widths, out=widths)
 
     def select(self) -> int:
         """Index of the UCB-maximizing action; lowest index on ties and among
@@ -286,7 +312,8 @@ class LinUcb:
             raise RuntimeError("update() must be called before the next select()")
         self.t += 1
         theta, widths = self._estimate()
-        ucb = self.actions @ theta + self._beta(self.t) * widths
+        ucb = np.matmul(self.actions, theta, out=self._ucb)
+        ucb += np.multiply(widths, self._beta(self.t), out=widths)
         best = ucb.argmax()  # the first NaN, if there is one
         if math.isnan(ucb[best]):
             raise np.linalg.LinAlgError(f"LinUCB index is NaN in round {self.t}")
@@ -300,7 +327,7 @@ class LinUcb:
         if not math.isfinite(reward):
             raise ValueError(f"reward must be finite, got {reward}")
         x = self.actions[self._pending]
-        self.V += x[:, None] * x  # np.outer's own product
+        self.V += x[:, None] * x if self._outer is None else self._outer[self._pending]
         self.b += reward * x
         self._pending = None
 
@@ -308,6 +335,19 @@ class LinUcb:
 # --------------------------------------------------------------------------
 # the simulation loop and the one-bit channel
 # --------------------------------------------------------------------------
+
+class Channel(NamedTuple):
+    """An uplink from agent to learner.
+
+    ``rows(quant_rng, n, d)`` draws n rounds' quantizer uniforms from the
+    quantizer stream, one row a round, in the order the rounds would draw them
+    one at a time.  ``send(x, r, q)`` gives what the learner receives for the
+    played context x and the reward r, and the bits sent; q is the round's row.
+    """
+
+    rows: Callable
+    send: Callable
+
 
 def _one_bit_wire(bit: int):
     """What the learner receives for a reward bit, and the bits sent: the codec's
@@ -318,10 +358,10 @@ def _one_bit_wire(bit: int):
 
 _ONE_BIT_WIRE = (_one_bit_wire(0), _one_bit_wire(1))  # the whole message space, made once
 
-
-def one_bit_channel(x: np.ndarray, r: float, quant_rng: np.random.Generator):
-    """The reward rounded to one bit, framed to bytes and parsed back; x stays put."""
-    return _ONE_BIT_WIRE[REWARD_BIT.encode(r, quant_rng)]
+# The reward rounded to one bit by the round's one uniform, framed to bytes and
+# parsed back; x stays put.
+one_bit_channel = Channel(rows=lambda quant_rng, n, d: quant_rng.random(n).tolist(),
+                          send=lambda x, r, u: _ONE_BIT_WIRE[reward_bit(r, u)])
 
 
 def seed_streams(seed: int) -> tuple[np.random.Generator, ...]:
@@ -329,37 +369,59 @@ def seed_streams(seed: int) -> tuple[np.random.Generator, ...]:
     return tuple(np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(2))
 
 
-def simulate(spec: EnvironmentSpec, seed: int, broadcast, channel, learn) -> RegretTrace:
+def _menu_plays(sets: np.ndarray, entry) -> list[int]:
+    """The actions a block's context sets get under a menu entry: the entry itself
+    when it is an action index, else the greedy action under it, a theta.  The
+    stacked product rounds each set's scores as greedy_action's own product does."""
+    if isinstance(entry, int):
+        return [entry] * len(sets)
+    return (sets @ entry).argmax(axis=1).tolist()
+
+
+def simulate(spec: EnvironmentSpec, seed: int, broadcast, channel: Channel, learn,
+             menu=None) -> RegretTrace:
     """Run the agent/channel/learner loop for spec.horizon rounds.
 
-    ``broadcast()`` gives a theta, under which the agent plays greedily, or an
-    action index, played as is.  ``channel(x, r, quant_rng)`` returns what the
+    ``broadcast()`` gives a theta, under which the agent plays greedily, or,
+    with a ``menu``, the index of a menu entry: a theta, played greedily, or
+    an action index, played as is.  ``channel.send(x, r, q)`` returns what the
     learner receives and its bits; ``learn(*received)`` feeds it in.  Draws
     come from the seed's two streams, environment and quantizer.
 
-    The environment comes in blocks of rounds, drawn as sample_context then
-    realize_reward draw each round, and the trace is filled a block at a time.
-    The regret reads one product of a block's sets with theta*, rounded as
-    regret_gap rounds each set's; the mean reward stays the played row's own
-    np.dot, as in mean_reward.
+    Both streams are read a block of rounds at a time: the environment as
+    sample_context then realize_reward draw each round, the quantizer as
+    ``channel.rows``.  The plays under a menu entry are computed for the whole
+    block on the entry's first use in it.  The mean reward reads the played
+    row's <x, theta*> from one np.vecdot of the block's sets with theta*,
+    which equals each row's own np.dot, as in mean_reward.  The regret reads
+    one product of the block's sets with theta*, rounded as regret_gap rounds
+    each set's, and the trace is filled a block at a time.
     """
     env_rng, quant_rng = seed_streams(seed)
-    trace = RegretTrace(seed, spec.digest(), capacity=spec.horizon)
+    trace = RegretTrace(seed, capacity=spec.horizon)
     block = max(1, _BLOCK_VALUES // (spec.n_actions * spec.d))
     for start in range(0, spec.horizon, block):
-        sets, uniforms = environment.sample_rounds(
-            spec, min(block, spec.horizon - start), env_rng)
+        n = min(block, spec.horizon - start)
+        sets, uniforms = environment.sample_rounds(spec, n, env_rng)
+        quant = channel.rows(quant_rng, n, spec.d)
+        means = np.vecdot(sets, spec.theta_star).tolist()
+        plays = None if menu is None else [None] * len(menu)
         actions, bits = [], []
-        for ctx, u in zip(sets, uniforms.tolist()):
+        for row, (ctx, u, q) in enumerate(zip(sets, uniforms.tolist(), quant)):
             order = broadcast()
-            action = order if isinstance(order, int) else greedy_action(ctx, order)
-            r = environment.reward_of(spec, ctx[action], u)
-            received, n_bits = channel(ctx[action], r, quant_rng)
+            if plays is None:
+                action = greedy_action(ctx, order)
+            else:
+                if plays[order] is None:
+                    plays[order] = _menu_plays(sets, menu[order])
+                action = plays[order][row]
+            r = environment.reward_of(spec, means[row][action], u)
+            received, n_bits = channel.send(ctx[action], r, q)
             learn(*received)
             actions.append(action)
             bits.append(n_bits)
         scores = sets @ spec.theta_star
-        trace.extend(scores.max(axis=1) - scores[np.arange(len(actions)), actions], bits)
+        trace.extend(scores.max(axis=1) - scores[np.arange(n), actions], bits)
     return trace
 
 
@@ -367,8 +429,8 @@ def run_known(spec: EnvironmentSpec, amap: ActionMap, seed: int,
               lam: float = 1.0) -> RegretTrace:
     """Simulate the known-distribution pair: LinUCB over the menu, signed reward 2r - 1."""
     policy = LinUcb(amap.table, lam=lam)
-    return simulate(spec, seed, lambda: amap.thetas[policy.select()],
-                    one_bit_channel, lambda bit: policy.update(2.0 * bit - 1.0))
+    return simulate(spec, seed, policy.select, one_bit_channel,
+                    lambda bit: policy.update(2.0 * bit - 1.0), menu=amap.thetas)
 
 
 def run_naive_baseline(spec: EnvironmentSpec, seed: int, lam: float = 1.0) -> RegretTrace:
@@ -381,4 +443,5 @@ def run_naive_baseline(spec: EnvironmentSpec, seed: int, lam: float = 1.0) -> Re
     means = np.array([environment.context_mean(spec, a) for a in range(spec.n_actions)])
     policy = LinUcb(means, lam=lam)
     return simulate(spec, seed, policy.select, one_bit_channel,
-                    lambda bit: policy.update(2.0 * bit - 1.0))
+                    lambda bit: policy.update(2.0 * bit - 1.0),
+                    menu=range(spec.n_actions))

@@ -35,6 +35,7 @@ __all__ = [
     "ContextGrid",
     "context_grid",
     "quantize_context",
+    "reward_bit",
     "reconstruct_context",
 ]
 
@@ -109,6 +110,15 @@ class StochasticQuantizer:
     def roundtrip(self, x, rng: np.random.Generator):
         """Encode then decode; unbiased with |result - x| <= step."""
         return self.decode(self.encode(x, rng))
+
+
+def reward_bit(r: float, u: float) -> int:
+    """A reward r in [0, 1] rounded to one bit by the uniform u: 1 with probability r.
+    It is StochasticQuantizer(1, 0.0, 1.0).encode(r, rng) for an rng that draws u,
+    its range check included."""
+    if not -_BOUNDARY_TOL <= r <= 1.0 + _BOUNDARY_TOL:  # NaN fails too
+        raise QuantizationRangeError(f"input {r} outside [0.0, 1.0]")
+    return int(u < r)
 
 
 def _round(scaled: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -189,24 +199,25 @@ def _enforce_l1_budget(levels: np.ndarray, scaled: np.ndarray, budget: int) -> n
     return levels
 
 
-def quantize_context(x, rng: np.random.Generator) -> QuantizedContext:
+def quantize_context(x, uniforms: np.ndarray) -> QuantizedContext:
     """Compress a unit-ball vector into signs, lattice magnitudes and square bits.
 
-    Two stochastic roundings, with d uniform draws each: m*|x| onto the
-    levels 0..m, then the square error x^2 - xhat^2 onto the two points
-    -3/m and +3/m.  Both equal ``StochasticQuantizer`` on those grids, done
-    in place on grid coordinates without its per-call setup and checks, and
-    both take their 2d uniforms from one draw, which yields the same numbers.
+    Two stochastic roundings, reading the 2d ``uniforms`` in order: m*|x| onto
+    the levels 0..m by the first d, then the square error x^2 - xhat^2 onto the
+    two points -3/m and +3/m by the last d.  Both equal ``StochasticQuantizer``
+    on those grids drawing its uniforms from a generator that gives these,
+    done in place on grid coordinates without its per-call setup and checks.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {x.shape}")
     d = x.size
+    if len(uniforms) != 2 * d:
+        raise ValueError(f"need 2d = {2 * d} uniforms, got {len(uniforms)}")
     norm = math.sqrt(float(x @ x))
     if not norm <= 1.0 + _BOUNDARY_TOL:  # NaN fails too
         raise AssumptionViolation(f"context norm {norm} exceeds 1")
     grid = context_grid(magnitude_scale(d))
-    uniforms = rng.random(2 * d)
 
     sign_bits = x >= 0.0
     scaled = np.minimum(grid.m * np.abs(x), grid.m)

@@ -20,6 +20,7 @@ it on a sequence of played contexts.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,8 @@ from numpy.linalg import _umath_linalg  # np.linalg.solve's own gufuncs; see ROA
 
 from .codec import BitBuffer, UnknownMessage, decode_unknown, encode_unknown
 from .env import EnvironmentSpec, RegretTrace
-from .known import REWARD_BIT, simulate
-from .quantizer import quantize_context, reconstruct_context
+from .known import Channel, simulate
+from .quantizer import quantize_context, reconstruct_context, reward_bit
 
 __all__ = [
     "UnknownLearnerState",
@@ -127,20 +128,27 @@ def _lu_solve(v: np.ndarray, rhs: np.ndarray, probe_l1: float) -> np.ndarray | N
     return sol[:, 0]
 
 
-def lattice_channel(x: np.ndarray, r: float, quant_rng: np.random.Generator):
-    """Quantized context and reward bit, framed and parsed back as (bit, xhat, xsq_hat).
+def _send_lattice(x: np.ndarray, r: float, q: np.ndarray):
+    """Quantized context and reward bit, by the round's 2d + 1 uniforms, framed and
+    parsed back as (bit, xhat, xsq_hat).
 
     The message is bit_budget(d) bits; the decoder rejects any other length.
     """
-    qc = quantize_context(x, quant_rng)
-    buf = encode_unknown(UnknownMessage(reward_bit=REWARD_BIT.encode(r, quant_rng), context=qc))
+    qc = quantize_context(x, q[:-1])
+    buf = encode_unknown(UnknownMessage(reward_bit=reward_bit(r, q[-1]), context=qc))
     msg = decode_unknown(BitBuffer.from_bytes(buf.to_bytes(), len(buf)), x.size)
     return (msg.reward_bit, *reconstruct_context(msg.context)), len(buf)
 
 
-def exact_channel(x: np.ndarray, r: float, quant_rng: np.random.Generator | None):
-    """Unquantized uplink: the raw reward, x and x*x, at a nominal 64 bits per scalar."""
-    return (r, x, x * x), FULL_PRECISION_BITS_PER_SCALAR * (x.size + 1)
+# Each round reads quantize_context's 2d uniforms, then the reward bit's one.
+lattice_channel = Channel(rows=lambda quant_rng, n, d: quant_rng.random((n, 2 * d + 1)),
+                          send=_send_lattice)
+
+# Unquantized uplink: the raw reward, x and x*x, at a nominal 64 bits per scalar;
+# it draws no quantizer uniforms.
+exact_channel = Channel(
+    rows=lambda quant_rng, n, d: itertools.repeat(None, n),
+    send=lambda x, r, q: ((r, x, x * x), FULL_PRECISION_BITS_PER_SCALAR * (x.size + 1)))
 
 
 def _run_least_squares(spec: EnvironmentSpec, seed: int, channel,

@@ -165,7 +165,7 @@ def test_04_quantizer_laws():
         m = magnitude_scale(d)
         pts = _unit_ball(100_000, d, rng)
         for row in pts:
-            qc = quantize_context(row, rng)
+            qc = quantize_context(row, rng.random(2 * d))
             xhat, _ = reconstruct_context(qc)
             if np.max(np.abs(row * row - xhat * xhat)) > 3.0 / m + 1e-12:
                 sq_ok = False
@@ -297,9 +297,9 @@ def test_08_ls_oracle_equivalence():
     worst = 0.0
     lossless = True
 
-    def channel(x, r, quant_rng):
+    def send(x, r, q):
         nonlocal lossless
-        received, bits = lattice_channel(x, r, quant_rng)
+        received, bits = lattice_channel.send(x, r, q)
         lossless = lossless and np.array_equal(received[1], x)
         return received, bits
 
@@ -313,7 +313,7 @@ def test_08_ls_oracle_equivalence():
         oracle = np.linalg.lstsq(v_log, u_log, rcond=None)[0]
         worst = max(worst, float(np.max(np.abs(state.theta_hat - oracle))))
 
-    simulate(spec, 2024, lambda: state.theta_hat, channel, learn)
+    simulate(spec, 2024, lambda: state.theta_hat, lattice_channel._replace(send=send), learn)
     elapsed = time.perf_counter() - t0
     _report(
         "criterion-08 ls-oracle",

@@ -282,7 +282,7 @@ class TestUnknownMessageCodec:
             for _ in range(100):
                 x = rng.standard_normal(d)
                 x *= rng.random() / max(np.linalg.norm(x), 1e-12)
-                qc = quantize_context(x, rng)
+                qc = quantize_context(x, rng.random(2 * d))
                 bit = int(rng.integers(0, 2))
                 buf = encode_unknown(UnknownMessage(reward_bit=bit, context=qc))
                 assert len(buf) == bit_budget(d)

@@ -25,16 +25,19 @@ from bitbandit.known import build_action_map, run_known, run_naive_baseline
 from bitbandit.unknown import run_full_precision, run_unknown
 
 
-def scalar_simulate(spec, seed, broadcast, channel, learn):
-    """known.simulate's contract, one round and one environment call at a time."""
+def scalar_simulate(spec, seed, broadcast, channel, learn, menu=None):
+    """known.simulate's contract, one round and one stream call at a time: a menu
+    entry is played through greedy_action each round, never from a block table."""
     env_rng, quant_rng = known.seed_streams(seed)
-    trace = RegretTrace(seed, spec.digest())
+    trace = RegretTrace(seed)
     for _ in range(spec.horizon):
         order = broadcast()
+        entry = order if menu is None else menu[order]
         ctx = environment.sample_context(spec, env_rng)
-        action = order if isinstance(order, int) else known.greedy_action(ctx, order)
+        action = entry if isinstance(entry, int) else known.greedy_action(ctx, entry)
         r = environment.realize_reward(spec, ctx[action], env_rng)
-        received, bits = channel(ctx[action], r, quant_rng)
+        (q,) = channel.rows(quant_rng, 1, spec.d)
+        received, bits = channel.send(ctx[action], r, q)
         learn(*received)
         environment.regret_step(trace, ctx, spec.theta_star, action, bits=bits)
     return trace
@@ -78,11 +81,11 @@ def _runs(monkeypatch, run):
     for loop in (known.simulate, scalar_simulate):
         seen = []
 
-        def tapped(spec, seed, broadcast, channel, learn, loop=loop, seen=seen):
-            def tap(x, r, quant_rng):
+        def tapped(spec, seed, broadcast, channel, learn, menu=None, loop=loop, seen=seen):
+            def tap(x, r, q):
                 seen.append((x.tolist(), r))
-                return channel(x, r, quant_rng)
-            return loop(spec, seed, broadcast, tap, learn)
+                return channel.send(x, r, q)
+            return loop(spec, seed, broadcast, channel._replace(send=tap), learn, menu)
 
         monkeypatch.setattr(known, "simulate", tapped)
         monkeypatch.setattr(unknown, "simulate", tapped)
@@ -129,6 +132,23 @@ def test_rounds_draw_as_per_round_calls_do(spec):
     assert block_rng.bit_generator.state == round_rng.bit_generator.state
     np.testing.assert_array_equal(sets, np.array([ctx for ctx, _ in one_by_one]))
     assert uniforms.tolist() == [u for _, u in one_by_one]
+
+
+@pytest.mark.parametrize("d", [1, 5, 64])
+def test_quantizer_rows_draw_as_per_round_calls_do(d):
+    """A block of channel rows equals each round's own draws: quantize_context's
+    random(2d) then the reward bit's random() for the lattice, one random() for the
+    one-bit channel, nothing for the exact channel."""
+    n = 300
+    for channel, one_round in (
+            (unknown.lattice_channel, lambda rng: rng.random(2 * d).tolist() + [rng.random()]),
+            (known.one_bit_channel, lambda rng: rng.random()),
+            (unknown.exact_channel, lambda rng: None)):
+        block_rng, round_rng = np.random.default_rng(31), np.random.default_rng(31)
+        rows = [row.tolist() if isinstance(row, np.ndarray) else row
+                for row in channel.rows(block_rng, n, d)]
+        assert rows == [one_round(round_rng) for _ in range(n)]
+        assert block_rng.bit_generator.state == round_rng.bit_generator.state
 
 
 def test_block_scores_equal_per_set_regret():

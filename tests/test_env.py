@@ -1,5 +1,7 @@
 """Tests for environment specs, context/noise models, and regret traces."""
 
+import csv
+import io
 import math
 import re
 import warnings
@@ -63,6 +65,12 @@ class TestEnvironmentSpec:
         text = str(exc.value)
         for fragment in ("dimension", "action", "theta_star", "horizon"):
             assert fragment in text
+
+    def test_zero_dimension_is_listed_not_a_numpy_error(self):
+        with pytest.raises(ValueError, match=r"dimension must be >= 1, got 0$"):
+            EnvironmentSpec(d=0, n_actions=2, theta_star=[],
+                            context_model=BinarySupport(p_minus=(0.5, 0.5)),
+                            noise_model=Bernoulli(), horizon=10)
 
     def test_theta_norm_bound(self):
         with pytest.raises(ValueError):
@@ -283,7 +291,7 @@ _NEAR_BOUNDARIES = [1, 2, 1023, 1024, 1025, 1026, 2047, 2048, 2049, 2050]
 
 class TestRegretTrace:
     def test_record_and_cumulative(self):
-        trace = RegretTrace(seed=3, spec_digest="abc")
+        trace = RegretTrace(seed=3)
         trace.extend([0.5], [5])
         trace.extend([0.0], [5])
         trace.extend([0.25], [5])
@@ -372,6 +380,24 @@ class TestRegretTrace:
 
         assert outcome(RegretTrace.read_csv) == outcome(_read_row_by_row)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.integers(-2 ** 63, 2 ** 63), st.floats(), st.floats(width=32)),
+                    max_size=8))
+    def test_write_table_writes_what_csv_writer_writes(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        fields = {"n": int, "x": float, "y": float}
+        environment.write_table(path, fields, rows)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(fields)
+        writer.writerows(rows)
+        assert path.read_bytes() == expected.getvalue().encode()
+
+    def test_write_table_writes_numpy_scalars_as_csv_writer_does(self, tmp_path):
+        rows = [(np.int64(3), np.float64(0.5), np.float32(0.1)), (np.int32(-1), 2.0, np.nan)]
+        environment.write_table(tmp_path / "table.csv", {"n": int, "x": float, "y": float}, rows)
+        assert (tmp_path / "table.csv").read_bytes() == b"n,x,y\r\n3,0.5,0.1\r\n-1,2.0,nan\r\n"
+
     def test_regret_at_bounds(self):
         trace = RegretTrace(seed=0)
         trace.extend([1.0], [1])
@@ -382,7 +408,7 @@ class TestRegretTrace:
 
     def test_csv_roundtrip_and_stability(self, tmp_path):
         rng = np.random.default_rng(42)
-        trace = RegretTrace(seed=11, spec_digest="d1")
+        trace = RegretTrace(seed=11)
         for _ in range(50):
             trace.extend([float(rng.random())], [int(rng.integers(1, 30))])
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

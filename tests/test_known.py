@@ -28,6 +28,7 @@ from bitbandit.known import (
     run_naive_baseline,
     theta_net,
 )
+from bitbandit.quantizer import StochasticQuantizer
 
 
 def two_action_binary(p, q, horizon=1000):
@@ -256,6 +257,21 @@ class TestActionMap:
         np.testing.assert_array_equal(pert.table, amap.table)
         assert pert.table is not amap.table
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_misspecify_rejects_non_finite_eps(self, eps):
+        amap = build_action_map(two_action_binary(0.25, 0.5), [[1.0]])
+        with pytest.raises(ValueError, match=f"eps must be finite and nonnegative, got {eps}"):
+            misspecify_xstar(amap, eps, np.random.default_rng(0))
+
+    def test_theta_rows_of_another_length_name_both_lengths(self):
+        spec = EnvironmentSpec(d=3, n_actions=2, theta_star=np.full(3, 0.5),
+                               context_model=BinarySupport(p_minus=(0.3, 0.6)),
+                               noise_model=Bernoulli(), horizon=10)
+        with pytest.raises(ValueError, match=r"length d=3, got shape \(4, 2\)"):
+            build_action_map(spec, np.zeros((4, 2)))
+        with pytest.raises(ValueError, match=r"length d=3, got shape \(2,\)"):
+            exact_xstar(spec, np.zeros(2))
+
     def test_misspecify_rejects_negative_eps(self):
         spec = two_action_binary(0.25, 0.5)
         amap = build_action_map(spec, [[1.0]])
@@ -368,6 +384,21 @@ class TestLinUcb:
         policy = LinUcb(np.array([[1e200], [2e200]]))  # both widths overflow to inf
         assert policy.select() == 0
 
+    def test_a_large_menu_updates_as_a_tabulated_one(self, monkeypatch):
+        """Past _OUTER_VALUES update() forms each x x^T itself, to the same bits."""
+        menu = theta_net(5, 40)
+        rewards = np.random.default_rng(3).choice([-1.0, 1.0], 60).tolist()
+        runs = []
+        for limit in (known._OUTER_VALUES, 0):
+            monkeypatch.setattr(known, "_OUTER_VALUES", limit)
+            policy = LinUcb(menu)
+            picks = []
+            for r in rewards:
+                picks.append(policy.select())
+                policy.update(r)
+            runs.append((picks, policy.V.tobytes(), policy.b.tobytes()))
+        assert runs[0] == runs[1]
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 64), st.integers(1, 32), st.integers(0, 2**32 - 1),
            st.booleans())
@@ -387,6 +418,22 @@ class TestLinUcb:
         ref_widths = np.sqrt(np.einsum("nd,dn->n", menu, np.linalg.solve(policy.V, menu.T)))
         assert theta.tobytes() == ref_theta.tobytes()
         assert widths.tobytes() == ref_widths.tobytes()
+
+    def test_einsum_kernel_is_the_one_np_einsum_calls(self):
+        from numpy._core import einsumfunc
+        assert known.c_einsum is einsumfunc.c_einsum, \
+            "numpy._core.multiarray.c_einsum, which LinUcb.select calls directly, moved"
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 64), st.integers(1, 10), st.integers(0, 2**32 - 1))
+    def test_vecdot_equals_each_rows_own_dot(self, d, k, seed):
+        """simulate reads the played row's <x, theta*> from np.vecdot of a block's
+        sets; mean_reward computes it with np.dot of that row alone."""
+        rng = np.random.default_rng(seed)
+        sets = rng.uniform(-1.0, 1.0, (64, k, d)) / math.sqrt(d)
+        theta = rng.uniform(-1.0, 1.0, d) / math.sqrt(d)
+        rows = np.array([[np.dot(x, theta) for x in ctx] for ctx in sets])
+        assert np.vecdot(sets, theta).tobytes() == rows.tobytes()
 
     def test_solve_gufuncs_are_where_numpy_keeps_them(self):
         solve, solve1 = known._umath_linalg.solve, known._umath_linalg.solve1
@@ -408,11 +455,12 @@ class TestOneBitChannel:
 
     def test_one_draw_per_round_as_the_reward_bit(self):
         rewards = np.random.default_rng(5).random(500)
-        ours, ref = np.random.default_rng(8), np.random.default_rng(8)
-        for r in rewards.tolist():
-            bit = known.REWARD_BIT.encode(r, ref)
-            assert known.one_bit_channel(None, r, ours) == ((bit,), 1)
-        assert ours.random() == ref.random()
+        block, ref = np.random.default_rng(8), np.random.default_rng(8)
+        rows = known.one_bit_channel.rows(block, len(rewards), 7)
+        for r, u in zip(rewards.tolist(), rows):
+            bit = StochasticQuantizer(1, 0.0, 1.0).encode(r, ref)
+            assert known.one_bit_channel.send(None, r, u) == ((bit,), 1)
+        assert block.random() == ref.random()
 
 
 class TestRunKnown:

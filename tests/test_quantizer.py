@@ -16,6 +16,7 @@ from bitbandit.quantizer import (
     magnitude_scale,
     quantize_context,
     reconstruct_context,
+    reward_bit,
 )
 
 
@@ -145,21 +146,43 @@ class TestMagnitudeScale:
             magnitude_scale(0)
 
 
+class TestRewardBit:
+    def test_equals_the_one_level_quantizer_draw_for_draw(self):
+        rewards = [0.0, 1.0, 0.5, -1e-10, 1.0 + 1e-10] + np.random.default_rng(3).random(2000).tolist()
+        ours, ref = np.random.default_rng(4), np.random.default_rng(4)
+        one_level = StochasticQuantizer(1, 0.0, 1.0)
+        for r in rewards:
+            bit = reward_bit(r, ours.random())
+            assert type(bit) is int and bit == one_level.encode(r, ref)
+        assert ours.random() == ref.random()
+
+    @pytest.mark.parametrize("r", [-0.01, 1.01, math.nan])
+    def test_refuses_a_reward_outside_the_unit_interval(self, r):
+        with pytest.raises(QuantizationRangeError, match=f"input {r} outside"):
+            reward_bit(r, 0.5)
+        with pytest.raises(QuantizationRangeError, match=f"input {r} outside"):
+            StochasticQuantizer(1, 0.0, 1.0).encode(r, np.random.default_rng(0))
+
+
 class TestQuantizeContext:
     def test_rejects_norm_above_one(self):
         rng = np.random.default_rng(42)
         with pytest.raises(AssumptionViolation):
-            quantize_context(np.array([0.8, 0.8]), rng)
+            quantize_context(np.array([0.8, 0.8]), rng.random(4))
 
     def test_rejects_matrix_input(self):
         rng = np.random.default_rng(42)
         with pytest.raises(ValueError):
-            quantize_context(np.zeros((2, 2)), rng)
+            quantize_context(np.zeros((2, 2)), rng.random(4))
+
+    def test_rejects_a_wrong_number_of_uniforms(self):
+        with pytest.raises(ValueError, match="need 2d = 4 uniforms, got 5"):
+            quantize_context(np.array([0.3, 0.4]), np.zeros(5))
 
     def test_rejects_nan(self):
         rng = np.random.default_rng(42)
         with pytest.raises(AssumptionViolation):
-            quantize_context(np.array([np.nan, 0.0]), rng)
+            quantize_context(np.array([np.nan, 0.0]), rng.random(4))
 
     def test_matches_scalar_quantizer_draw_for_draw(self):
         """Same levels, square bits and rng state as two StochasticQuantizers, and
@@ -180,7 +203,7 @@ class TestQuantizeContext:
             for x in random_unit_ball(100, d, data_rng):
                 seed = int(data_rng.integers(2**32))
                 ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
-                qc = quantize_context(x, ra)
+                qc = quantize_context(x, ra.random(2 * d))
                 mags, levels, xsq_hat = reference(x, rb)
                 np.testing.assert_array_equal(qc.magnitudes, mags)
                 np.testing.assert_array_equal(qc.square_bits, levels == 1)
@@ -189,7 +212,7 @@ class TestQuantizeContext:
 
     def test_sign_of_zero_is_positive(self):
         rng = np.random.default_rng(42)
-        qc = quantize_context(np.array([0.0, -0.0, -0.5, 0.5]), rng)
+        qc = quantize_context(np.array([0.0, -0.0, -0.5, 0.5]), rng.random(8))
         np.testing.assert_array_equal(qc.sign_bits, [True, True, False, True])
         np.testing.assert_array_equal(qc.magnitudes[:2], np.zeros(2))
         np.testing.assert_array_equal(np.sign(reconstruct_context(qc)[0][2:]), [-1, 1])
@@ -199,7 +222,7 @@ class TestQuantizeContext:
         for d in (1, 2, 3, 5, 8, 16):
             m = magnitude_scale(d)
             for x in random_unit_ball(200, d, rng):
-                qc = quantize_context(x, rng)
+                qc = quantize_context(x, rng.random(2 * d))
                 assert qc.sign_bits.dtype == qc.square_bits.dtype == np.bool_
                 assert qc.sign_bits.shape == qc.magnitudes.shape == qc.square_bits.shape == (d,)
                 np.testing.assert_array_equal(qc.sign_bits, x >= 0)
@@ -215,20 +238,14 @@ class TestQuantizeContext:
             # push a share of the mass right onto the sphere, the worst case
             x[::4] /= np.maximum(np.linalg.norm(x[::4], axis=1, keepdims=True), 1e-12)
             for row in x:
-                qc = quantize_context(row, rng)
+                qc = quantize_context(row, rng.random(2 * d))
                 assert qc.magnitudes.sum() <= 2 * d
 
     def test_forced_demotion_keeps_budget_and_floors(self):
-        class AlwaysCeil:
-            """Stand-in rng whose uniforms are all 0, forcing round-up."""
-
-            def random(self, shape=None):
-                return np.zeros(shape) if shape is not None else 0.0
-
         d = 5  # m = 3, all-ceil can overshoot the budget of 10
         x = np.array([0.7, 0.357, 0.357, 0.357, 0.357])
         assert np.linalg.norm(x) <= 1.0
-        qc = quantize_context(x, AlwaysCeil())
+        qc = quantize_context(x, np.zeros(2 * d))  # uniforms of 0 force round-up
         m = magnitude_scale(d)
         assert qc.magnitudes.sum() == 2 * d
         # every coordinate sits on floor or ceil of m|x|
@@ -251,7 +268,8 @@ class TestQuantizeContext:
         norm = np.linalg.norm(x)
         if norm > 0:
             x *= radius / norm
-        xhat, _ = reconstruct_context(quantize_context(x, np.random.default_rng(seed)))
+        xhat, _ = reconstruct_context(
+            quantize_context(x, np.random.default_rng(seed).random(2 * x.size)))
         assert np.abs(xhat - x).max() <= 1.0 / magnitude_scale(x.size) + 1e-12
 
     def test_reconstruction_error_bounds(self):
@@ -259,7 +277,7 @@ class TestQuantizeContext:
         for d in (1, 5, 25):
             m = magnitude_scale(d)
             for x in random_unit_ball(300, d, rng):
-                qc = quantize_context(x, rng)
+                qc = quantize_context(x, rng.random(2 * d))
                 xhat, xsq_hat = reconstruct_context(qc)
                 assert np.max(np.abs(xhat) - np.abs(x)) <= 1.0 / m + 1e-12
                 assert np.max(np.abs(x * x - xhat * xhat)) <= 3.0 / m + 1e-12
@@ -273,7 +291,7 @@ class TestQuantizeContext:
         xh = np.zeros_like(x)
         xs = np.zeros_like(x)
         for _ in range(n):
-            xhat, xsq_hat = reconstruct_context(quantize_context(x, rng))
+            xhat, xsq_hat = reconstruct_context(quantize_context(x, rng.random(2 * x.size)))
             xh += xhat
             xs += xsq_hat
         m = magnitude_scale(x.size)

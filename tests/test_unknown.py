@@ -103,8 +103,8 @@ class TestLsOracleEquivalence:
         v_log = np.zeros((spec.d, spec.d))
         u_log = np.zeros(spec.d)
 
-        def channel(x, r, quant_rng):
-            received, bits = lattice_channel(x, r, quant_rng)
+        def send(x, r, q):
+            received, bits = lattice_channel.send(x, r, q)
             # integral supports make the vector reconstruction lossless
             np.testing.assert_array_equal(received[1], x)
             return received, bits
@@ -118,7 +118,8 @@ class TestLsOracleEquivalence:
             oracle = np.linalg.lstsq(v_log, u_log, rcond=None)[0]
             np.testing.assert_allclose(state.theta_hat, oracle, atol=1e-9)
 
-        trace = simulate(spec, 9, lambda: state.theta_hat, channel, learn)
+        trace = simulate(spec, 9, lambda: state.theta_hat, lattice_channel._replace(send=send),
+                         learn)
         assert len(trace) == 300
 
 
