@@ -51,7 +51,11 @@ def _cmd_run(args) -> int:
         return 2
     if args.output_dir:
         cfg.output_dir = args.output_dir
-    result = run_experiment(cfg)
+    try:
+        result = run_experiment(cfg)
+    except OSError as exc:  # an output directory or file that cannot be made or written
+        print(f"run error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {len(result.trace_paths)} trace(s) and {result.summary_path}")
     for row in result.summary_rows:
         print(

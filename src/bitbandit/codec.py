@@ -22,13 +22,12 @@ sent, and quantizer.reconstruct_context maps them to +-1 and +-3/m.
 from __future__ import annotations
 
 import math
-import operator
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .quantizer import QuantizedContext
+from .quantizer import QuantizedContext, _integer
 
 __all__ = [
     "MessageCodecError",
@@ -57,14 +56,6 @@ class LatticeMembershipError(ValueError):
 # --------------------------------------------------------------------------
 # message frame
 # --------------------------------------------------------------------------
-
-def _integer(value, name: str) -> int:
-    """``value`` as a Python int, through operator.index; a ValueError naming it otherwise."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
 
 class BitBuffer:
     """A message frame: one integer and its bit length, MSB-first on the wire."""
@@ -105,8 +96,7 @@ class BitBuffer:
 
 def q_size(d: int) -> int:
     """Number of nonnegative integer d-vectors with coordinate sum <= 2d."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
+    d = _integer(d, "dimension", 1)
     return math.comb(3 * d, d)
 
 
@@ -119,9 +109,7 @@ class LatticeEnumerator:
     """
 
     def __init__(self, d: int):
-        if d < 1:
-            raise ValueError(f"dimension must be >= 1, got {d}")
-        self.d = d
+        self.d = d = _integer(d, "dimension", 1)
         self.budget = 2 * d
         self._count = [[math.comb(b + k, k) for b in range(self.budget + 1)]
                        for k in range(d + 1)]
@@ -167,7 +155,7 @@ class LatticeEnumerator:
         return np.array(out, dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 3.0 must not find the entry of 3
 def lattice_enumerator(d: int) -> LatticeEnumerator:
     """Shared per-dimension enumerator (immutable after construction)."""
     return LatticeEnumerator(d)
@@ -175,6 +163,7 @@ def lattice_enumerator(d: int) -> LatticeEnumerator:
 
 def bit_budget(d: int) -> int:
     """Exact per-round uplink cost for the unknown-distribution message."""
+    d = _integer(d, "dimension", 1)
     return 1 + 2 * d + lattice_enumerator(d).width
 
 
@@ -223,10 +212,10 @@ def encode_unknown(msg: UnknownMessage) -> BitBuffer:
 
 def decode_unknown(buf: BitBuffer, d: int) -> UnknownMessage:
     """Parse an unknown-distribution message for dimension ``d``."""
-    if len(buf) != bit_budget(d):
+    d = _integer(d, "dimension", 1)  # a Python int, so that the fields below are too
+    if len(buf) != (budget := bit_budget(d)):
         raise MessageCodecError(
-            f"unknown message for d={d} is {bit_budget(d)} bits, buffer has {len(buf)}"
-        )
+            f"unknown message for d={d} is {budget} bits, buffer has {len(buf)}")
     enum = lattice_enumerator(d)
     head, rank = divmod(buf.value, 1 << enum.width)
     reward_bit, field = divmod(head, 1 << 2 * d)

@@ -25,7 +25,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .quantizer import AssumptionViolation
+from .quantizer import _BOUNDARY_TOL, AssumptionViolation, _integer
 
 __all__ = [
     "GaussianProjected",
@@ -53,7 +53,6 @@ __all__ = [
     "assumption2_diagnostic",
 ]
 
-_TOL = 1e-9
 # Context values squared at a time for norms.  A block of rounds that known.simulate
 # draws (8192 values) is one slice; a 20 000-set Monte-Carlo chunk is many.
 _SQUARE_VALUES = 1 << 16
@@ -212,7 +211,7 @@ class CustomDiscrete(_ContextLaw):
                 raise ValueError(f"action {a}: support and probs must be finite")
             if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
                 raise ValueError(f"action {a}: probabilities must be a distribution")
-            if np.any(np.linalg.norm(sup, axis=1) > 1.0 + _TOL):
+            if np.any(np.linalg.norm(sup, axis=1) > 1.0 + _BOUNDARY_TOL):
                 raise ValueError(f"action {a}: support vector outside the unit ball")
 
     @classmethod
@@ -323,10 +322,12 @@ class EnvironmentSpec:
     def validate(self) -> list[str]:
         """Return a list of every constraint violation (empty when valid)."""
         problems = []
-        if self.d < 1:
-            problems.append(f"dimension must be >= 1, got {self.d}")
-        if self.n_actions < 1:
-            problems.append(f"need at least one action, got {self.n_actions}")
+        for name, count, low in (("dimension", self.d, 1), ("n_actions", self.n_actions, 1),
+                                 ("horizon", self.horizon, 0)):
+            try:
+                _integer(count, name, low)
+            except ValueError as exc:
+                problems.append(str(exc))
         if self.theta_star.shape != (self.d,):
             problems.append(
                 f"theta_star shape {self.theta_star.shape} does not match d={self.d}"
@@ -334,14 +335,13 @@ class EnvironmentSpec:
         elif not np.all(np.isfinite(self.theta_star)):
             problems.append(f"theta_star entries must be finite, got {self.theta_star.tolist()}")
         # the peak first, before a norm can overflow; an empty theta* (d = 0) has none
-        elif self.theta_star.size and (peak := np.abs(self.theta_star).max()) > 1.0 + _TOL:
+        elif (self.theta_star.size
+              and (peak := np.abs(self.theta_star).max()) > 1.0 + _BOUNDARY_TOL):
             problems.append(f"||theta_star|| exceeds 1: an entry has magnitude {peak:.6g}")
-        elif np.linalg.norm(self.theta_star) > 1.0 + _TOL:
+        elif np.linalg.norm(self.theta_star) > 1.0 + _BOUNDARY_TOL:
             problems.append(
                 f"||theta_star|| = {np.linalg.norm(self.theta_star):.6g} exceeds 1"
             )
-        if self.horizon < 0:
-            problems.append(f"horizon must be nonnegative, got {self.horizon}")
         return problems + self.context_model.check(self.d, self.n_actions)
 
     def digest(self) -> str:
@@ -386,7 +386,7 @@ def sample_rounds(spec: EnvironmentSpec, c: int, rng: np.random.Generator):
 
 def _in_unit_ball(out: np.ndarray) -> np.ndarray:
     # sqrt is monotone, so this is the largest norm; NaN fails the test too
-    if not math.sqrt(_sum_squares(out).max(initial=0.0)) <= 1.0 + _TOL:
+    if not math.sqrt(_sum_squares(out).max(initial=0.0)) <= 1.0 + _BOUNDARY_TOL:
         raise AssumptionViolation("sampled context outside the unit ball")
     return out
 
@@ -423,7 +423,7 @@ def mean_reward(spec: EnvironmentSpec, x: np.ndarray) -> float:
 
 def _mapped_mean(score: float) -> float:
     """(score + 1) / 2 of a play's score <x, theta*>, which must lie in [-1, 1]."""
-    if abs(score) > 1.0 + _TOL:
+    if abs(score) > 1.0 + _BOUNDARY_TOL:
         raise AssumptionViolation(f"|<x, theta*>| = {abs(score)} exceeds 1")
     return min(max((score + 1.0) / 2.0, 0.0), 1.0)
 
@@ -437,7 +437,7 @@ def reward_of(spec: EnvironmentSpec, score: float, u: float) -> float:
     """The reward in [0, 1] that the round's reward uniform u gives a play of score
     <x, theta*>, as np.dot(x, theta*) computes it."""
     r = spec.noise_model.reward(_mapped_mean(score), u)
-    if not 0.0 - _TOL <= r <= 1.0 + _TOL:
+    if not 0.0 - _BOUNDARY_TOL <= r <= 1.0 + _BOUNDARY_TOL:
         raise AssumptionViolation(f"realized reward {r} outside [0, 1]")
     return min(max(r, 0.0), 1.0)
 
@@ -490,7 +490,7 @@ def _first_refused(inst: np.ndarray, bits) -> tuple[int, str] | None:
     """The first round of a block that a trace refuses, and why, its regret before its
     bits; None when there is none.  A regret must be finite and nonnegative, and a bit
     count a nonnegative ``int`` below 2**31: a bool or a NumPy integer fails too."""
-    kept = (inst >= -_TOL) & (inst < math.inf)  # NaN fails too
+    kept = (inst >= -_BOUNDARY_TOL) & (inst < math.inf)  # NaN fails too
     i = len(inst) if kept.all() else int(kept.argmin())
     j = next((j for j, b in enumerate(bits) if type(b) is not int or not 0 <= b < _BITS_LIMIT),
              len(bits))

@@ -28,7 +28,7 @@ from . import env as environment
 from .codec import BitBuffer, decode_known, encode_known
 from .env import EnvironmentSpec, RegretTrace
 from .env import regret_step  # noqa: F401  the layer name bench/child.py times here
-from .quantizer import reward_bit
+from .quantizer import _integer, reward_bit
 
 __all__ = [
     "greedy_action",
@@ -149,8 +149,7 @@ def exact_xstar(spec: EnvironmentSpec, theta: np.ndarray) -> np.ndarray | None:
 def estimate_xstar(spec: EnvironmentSpec, theta: np.ndarray, n_samples: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Monte-Carlo estimate of E[greedy-played context] from n_samples draws."""
-    if n_samples < 1:
-        raise ValueError(f"need at least one sample, got {n_samples}")
+    n_samples = _integer(n_samples, "n_samples", 1)
     theta = _theta_of(spec, theta)
     acc = np.zeros(spec.d)
     left = n_samples
@@ -217,8 +216,7 @@ def misspecify_xstar(amap: ActionMap, eps: float, rng: np.random.Generator) -> A
 
 def theta_net(d: int, n: int) -> np.ndarray:
     """Deterministic low-discrepancy net of n points in the d-dimensional unit ball."""
-    if d < 1 or n < 1:
-        raise ValueError("need d >= 1 and n >= 1")
+    d, n = _integer(d, "dimension", 1), _integer(n, "n", 1)
     if d == 1:
         return np.linspace(-1.0, 1.0, n).reshape(-1, 1)
     normal = NormalDist()

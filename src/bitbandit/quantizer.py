@@ -20,6 +20,7 @@ both the vector and its elementwise square.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -39,8 +40,20 @@ __all__ = [
     "reconstruct_context",
 ]
 
-# Slack absorbed when inputs sit on the boundary up to fp rounding.
+# Slack absorbed when inputs sit on the boundary up to fp rounding, here and in env.
 _BOUNDARY_TOL = 1e-9
+
+
+def _integer(value, name: str, low: int | None = None) -> int:
+    """``value`` as a Python int, through operator.index, and at least ``low`` when
+    given: the one check of a count or a dimension, raising a ValueError naming it."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 class QuantizationRangeError(ValueError):
@@ -60,8 +73,7 @@ class StochasticQuantizer:
     upper: float | None = None
 
     def __post_init__(self):
-        if self.levels < 1:
-            raise ValueError(f"levels must be >= 1, got {self.levels}")
+        object.__setattr__(self, "levels", _integer(self.levels, "levels", 1))
         if self.upper is None:
             object.__setattr__(self, "upper", float(self.levels))
         object.__setattr__(self, "lower", float(self.lower))
@@ -77,21 +89,15 @@ class StochasticQuantizer:
         return (self.upper - self.lower) / self.levels
 
     def encode(self, x, rng: np.random.Generator):
-        """Randomly round ``x`` (scalar or array) to integer levels in 0..levels."""
+        """Randomly round ``x`` (scalar or array) to integer levels in 0..levels: _round
+        on the grid coordinates, one uniform per entry; a scalar gives an int."""
         lo, hi = self.lower, self.upper
-        if isinstance(x, float):  # np.float64 too; draws once, like the array path
-            if not lo - _BOUNDARY_TOL <= x <= hi + _BOUNDARY_TOL:  # NaN fails too
-                raise QuantizationRangeError(f"input {x} outside [{lo}, {hi}]")
-            scaled = min(max((float(x) - lo) * (self.levels / (hi - lo)), 0.0), self.levels)
-            base = int(scaled)
-            return min(base + (rng.random() < scaled - base), self.levels)
         x = np.asarray(x, dtype=float)
         outside = ~((x >= lo - _BOUNDARY_TOL) & (x <= hi + _BOUNDARY_TOL))  # NaN too
         if outside.any():
             bad = int(np.argmax(outside))
-            raise QuantizationRangeError(
-                f"input {x.flat[bad]} at position {bad} outside [{lo}, {hi}]"
-            )
+            where = f" at position {bad}" if x.ndim else ""
+            raise QuantizationRangeError(f"input {x.flat[bad]}{where} outside [{lo}, {hi}]")
         scaled = np.clip((x - lo) * (self.levels / (hi - lo)), 0.0, self.levels)
         level = np.minimum(_round(scaled, rng.random(scaled.shape)), self.levels)
         return level if level.ndim else int(level)
@@ -130,9 +136,7 @@ def _round(scaled: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 def magnitude_scale(d: int) -> int:
     """Magnitude grid resolution used for d-dimensional contexts: ceil(sqrt(d))."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    return math.isqrt(d - 1) + 1
+    return math.isqrt(_integer(d, "dimension", 1) - 1) + 1
 
 
 class ContextGrid(NamedTuple):

@@ -29,7 +29,7 @@ from numpy.linalg import _umath_linalg  # np.linalg.solve's own gufuncs; see ROA
 from .codec import BitBuffer, UnknownMessage, decode_unknown, encode_unknown
 from .env import EnvironmentSpec, RegretTrace
 from .known import Channel, simulate
-from .quantizer import quantize_context, reconstruct_context, reward_bit
+from .quantizer import _integer, quantize_context, reconstruct_context, reward_bit
 
 __all__ = [
     "UnknownLearnerState",
@@ -72,12 +72,9 @@ class UnknownLearnerState:
 
 def new_learner_state(d: int, solve_min_rounds: int | None = None) -> UnknownLearnerState:
     """Fresh all-zeros state; the solve is skipped until t >= solve_min_rounds."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if solve_min_rounds is None:
-        solve_min_rounds = d
-    if solve_min_rounds < 0:
-        raise ValueError("solve_min_rounds must be nonnegative")
+    d = _integer(d, "dimension", 1)
+    solve_min_rounds = _integer(d if solve_min_rounds is None else solve_min_rounds,
+                                "solve_min_rounds", 0)
     rhs = np.zeros((d, 2))
     rhs[:, 1] = np.sin(np.arange(1.0, d + 1))
     return UnknownLearnerState(rhs=rhs, v_tilde=np.zeros((d, d)), theta_hat=np.zeros(d),

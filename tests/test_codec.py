@@ -24,7 +24,7 @@ from bitbandit.codec import (
 )
 from bitbandit.quantizer import QuantizedContext, quantize_context
 
-PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=200)
 
 
 @st.composite

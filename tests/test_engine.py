@@ -7,8 +7,15 @@ The engine must reproduce its traces and every (played context, reward) pair
 exactly, over horizons that span several blocks and end mid-block.
 """
 
+import dataclasses
+import os
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bitbandit import env as environment
 from bitbandit import known, unknown
@@ -21,6 +28,7 @@ from bitbandit.env import (
     RegretTrace,
     TruncatedGaussian,
 )
+from bitbandit.harness import load_config, run_experiment
 from bitbandit.known import build_action_map, run_known, run_naive_baseline
 from bitbandit.unknown import run_full_precision, run_unknown
 
@@ -158,3 +166,146 @@ def test_block_scores_equal_per_set_regret():
     for ctx, scores in zip(sets, stacked):
         for a in range(spec.n_actions):
             assert scores.max() - scores[a] == environment.regret_gap(ctx, spec.theta_star, a)
+
+
+# --------------------------------------------------------------------------
+# the engine against the oracle on random environments
+# --------------------------------------------------------------------------
+
+_GRID = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])  # exactly representable: ties in scores
+_KINDS = ("known", "naive_mean", "unknown", "full_precision")
+
+
+class _Numbers:
+    """The numbers of a drawn case, from a generator whose seed hypothesis draws: it
+    draws the case's shape (dimension, law, kind, horizon) and this fills it in."""
+
+    def __init__(self, seed: int, d: int):
+        self.rng, self.d = np.random.default_rng(seed), d
+
+    def vectors(self, count: int) -> np.ndarray:
+        """``count`` vectors of norm <= 1, each with its entries all on _GRID or all
+        uniform in [-1, 1], over sqrt(d)."""
+        shape = (count, self.d)
+        on_grid = self.rng.random((count, 1)) < 0.5
+        rows = np.where(on_grid, self.rng.choice(_GRID, shape), self.rng.uniform(-1, 1, shape))
+        return rows / self.d ** 0.5
+
+    def context_law(self, law: str, k: int):
+        if law == "gaussian_projected":
+            return GaussianProjected(tuple(self.rng.choice([0.0, 0.05, 0.5, 3.0], k).tolist()))
+        if law == "binary_support":
+            return BinarySupport(tuple(self.rng.choice([0.0, 0.3, 0.5, 1.0], k).tolist()))
+        # atoms picked from a vector and two of its permutations, whose scores tie
+        # under a theta of equal entries but may round apart; picks repeat atoms
+        base = self.vectors(1)[0]
+        pool = np.array([base, base[::-1], np.roll(base, 1)])
+        picks = [self.rng.integers(0, 3, self.rng.integers(1, 5)) for _ in range(k)]
+        weights = [self.rng.integers(1, 5, len(p)).astype(float) for p in picks]
+        return CustomDiscrete(supports=tuple(pool[p] for p in picks),
+                              probs=tuple(w / w.sum() for w in weights))
+
+    def action_map(self) -> known.ActionMap:
+        """A menu of 1 to 5 rows from small pools, so thetas and table rows repeat;
+        one pooled theta has equal entries.  The table need not be the thetas' xstar."""
+        level = self.rng.choice(_GRID) / self.d ** 0.5
+        thetas = np.vstack([self.vectors(2), np.full((1, self.d), level)])
+        n = self.rng.integers(1, 6)
+        return known.ActionMap(thetas[self.rng.integers(0, 3, n)],
+                               self.vectors(2)[self.rng.integers(0, 2, n)], "drawn")
+
+
+@st.composite
+def _cases(draw):
+    """A spec, a kind, its menu when it has one, a seed and a _BLOCK_VALUES.  A horizon
+    of up to 120 rounds crosses many blocks of a few rounds and ends inside most."""
+    d = draw(st.sampled_from((*range(1, 9), 16, 64)))
+    k = draw(st.sampled_from(range(1, 7)))
+    law = draw(st.sampled_from(sorted(environment.CONTEXT_LAWS)))
+    sigma = draw(st.sampled_from((None, 0.0, 0.05, 0.3, 1.0)))
+    kind = draw(st.sampled_from(_KINDS))
+    block_values = draw(st.sampled_from((1, 37, 8192)))
+    numbers = _Numbers(draw(st.integers(0, 2 ** 32 - 1)), d)
+    spec = EnvironmentSpec(d=d, n_actions=k, theta_star=numbers.vectors(1)[0],
+                           context_model=numbers.context_law(law, k),
+                           noise_model=Bernoulli() if sigma is None else TruncatedGaussian(sigma),
+                           horizon=draw(st.integers(1, 120)))
+    amap = numbers.action_map() if kind == "known" else None
+    return spec, kind, amap, draw(st.integers(0, 2 ** 32 - 1)), block_values
+
+
+def _kind_run(spec, kind, amap, seed):
+    return {"known": lambda: run_known(spec, amap, seed),
+            "naive_mean": lambda: run_naive_baseline(spec, seed),
+            "unknown": lambda: run_unknown(spec, seed),
+            "full_precision": lambda: run_full_precision(spec, seed)}[kind]
+
+
+def _plain(received) -> list:
+    """A learner's arguments as comparable values: each with its type, arrays as lists."""
+    return [(str(a.dtype), a.tolist()) if isinstance(a, np.ndarray) else (type(a), a)
+            for a in received]
+
+
+def _trace_bytes(trace) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.csv")
+        trace.write_csv(path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def _fed(run):
+    """``run()`` on the engine and on the oracle: each gives its trace's CSV bytes and
+    the arguments of every learn call, in order."""
+    out = []
+    for loop in (known.simulate, scalar_simulate):
+        fed = []
+
+        def tapped(spec, seed, broadcast, channel, learn, menu=None, loop=loop, fed=fed):
+            def tap(*received):
+                fed.append(_plain(received))
+                return learn(*received)
+            return loop(spec, seed, broadcast, channel, tap, menu)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(known, "simulate", tapped)
+            mp.setattr(unknown, "simulate", tapped)
+            out.append((_trace_bytes(run()), fed))
+    return out
+
+
+def test_properties_run_derandomized():
+    assert settings().derandomize and settings().database is None
+
+
+@settings(max_examples=300)
+@given(_cases())
+def test_engine_matches_scalar_oracle_on_random_environments(case):
+    spec, kind, amap, seed, block_values = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(known, "_BLOCK_VALUES", block_values)
+        (engine, engine_fed), (oracle, oracle_fed) = _fed(_kind_run(spec, kind, amap, seed))
+    assert len(engine_fed) == len(oracle_fed) == spec.horizon
+    assert engine == oracle
+    assert engine_fed == oracle_fed
+
+
+_CONFIGS = sorted(Path(__file__).resolve().parent.parent.joinpath("configs").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("path", _CONFIGS, ids=[path.stem for path in _CONFIGS])
+def test_outputs_do_not_depend_on_the_block_size(path, tmp_path, monkeypatch):
+    """Each shipped config, on its first 2 seeds and at most 1000 rounds, writes the
+    same trace and summary bytes at _BLOCK_VALUES = 1, 37 and 8192."""
+    cfg = load_config(path)
+    cfg.seeds = cfg.seeds[:2]
+    cfg.spec = dataclasses.replace(cfg.spec, horizon=min(cfg.spec.horizon, 1000))
+    written = []
+    for block_values in (1, 37, 8192):
+        monkeypatch.setattr(known, "_BLOCK_VALUES", block_values)
+        cfg.output_dir = str(tmp_path / str(block_values))
+        result = run_experiment(cfg)
+        paths = [*result.trace_paths, result.summary_path]
+        written.append([Path(p).read_bytes() for p in paths])
+    assert written[0] == written[1] == written[2]

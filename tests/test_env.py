@@ -72,6 +72,15 @@ class TestEnvironmentSpec:
                             context_model=BinarySupport(p_minus=(0.5, 0.5)),
                             noise_model=Bernoulli(), horizon=10)
 
+    @pytest.mark.parametrize("count", ["3", None, 2.5])
+    def test_a_non_integer_count_is_listed_not_a_type_error(self, count):
+        with pytest.raises(ValueError) as exc:
+            EnvironmentSpec(d=count, n_actions=count, theta_star=[0.1, 0.1, 0.1],
+                            context_model=BinarySupport(p_minus=(0.5, 0.5, 0.5)),
+                            noise_model=Bernoulli(), horizon=count)
+        for name in ("dimension", "n_actions", "horizon"):
+            assert f"{name} must be an integer, got {count!r}" in str(exc.value)
+
     def test_theta_norm_bound(self):
         with pytest.raises(ValueError):
             binary_spec(theta=[1.5])
@@ -356,7 +365,7 @@ class TestRegretTrace:
                 f"{path}, line 3: cum_regret 0.25 is not the running sum")):
             RegretTrace.read_csv(path)
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(st.integers(2050, 2300), st.integers(0, 2 ** 32 - 1), st.lists(
         st.tuples(st.sampled_from(sorted(_FAULTS)),
                   st.sampled_from(_NEAR_BOUNDARIES) | st.integers(1, 2049),
@@ -380,7 +389,7 @@ class TestRegretTrace:
 
         assert outcome(RegretTrace.read_csv) == outcome(_read_row_by_row)
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(st.lists(st.tuples(st.integers(-2 ** 63, 2 ** 63), st.floats(), st.floats(width=32)),
                     max_size=8))
     def test_write_table_writes_what_csv_writer_writes(self, tmp_path_factory, rows):

@@ -508,6 +508,21 @@ class TestCli:
         assert code == 2
         assert "schema" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("below, fragment", [("", "File exists"),
+                                                  ("sub", "Not a directory")])
+    def test_run_into_an_output_dir_it_cannot_make_is_a_run_error(self, tmp_path, capsys,
+                                                                 below, fragment):
+        cfg_path = tmp_path / "cfg.yaml"
+        raw = make_config()
+        raw["environment"]["horizon"] = 40
+        cfg_path.write_text(yaml.safe_dump(raw))
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file, not a directory")
+        assert cli_main(["run", str(cfg_path), "--output-dir", str(blocker / below)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("run error: ") and fragment in captured.err
+        assert str(blocker) in captured.err and captured.out == ""
+
     @pytest.mark.parametrize("command", ["run", "xstar"])
     @pytest.mark.parametrize("case, fragment", [
         ("missing", "No such file or directory"),

@@ -134,7 +134,7 @@ class TestExactXstar:
         # max(0.8, 0.1) w.p. 0.25; max(-0.4, 0.1) w.p. 0.75
         np.testing.assert_allclose(out, [0.25 * 0.8 + 0.75 * 0.1], atol=1e-12)
 
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(tie_prone_laws())
     def test_matches_joint_enumeration(self, case):
         spec, theta = case
@@ -237,7 +237,7 @@ class TestActionMap:
             build_action_map(two_action_binary(0.25, 0.5), [[1.0]], **kwargs)
 
     def test_estimate_needs_a_sample(self):
-        with pytest.raises(ValueError, match="need at least one sample, got 0"):
+        with pytest.raises(ValueError, match="n_samples must be >= 1, got 0"):
             estimate_xstar(two_action_binary(0.25, 0.5), [1.0], n_samples=0,
                            rng=np.random.default_rng(0))
 
@@ -399,7 +399,7 @@ class TestLinUcb:
             runs.append((picks, policy.V.tobytes(), policy.b.tobytes()))
         assert runs[0] == runs[1]
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(st.integers(1, 64), st.integers(1, 32), st.integers(0, 2**32 - 1),
            st.booleans())
     def test_solves_equal_the_public_solve_bit_for_bit(self, d, n, seed, duplicates):
@@ -424,7 +424,7 @@ class TestLinUcb:
         assert known.c_einsum is einsumfunc.c_einsum, \
             "numpy._core.multiarray.c_einsum, which LinUcb.select calls directly, moved"
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(st.integers(1, 64), st.integers(1, 10), st.integers(0, 2**32 - 1))
     def test_vecdot_equals_each_rows_own_dot(self, d, k, seed):
         """simulate reads the played row's <x, theta*> from np.vecdot of a block's

@@ -7,6 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitbandit.codec import (BitBuffer, LatticeEnumerator, bit_budget, decode_unknown,
+                            lattice_enumerator, q_size)
+from bitbandit.env import Bernoulli, BinarySupport, EnvironmentSpec
+from bitbandit.known import estimate_xstar, theta_net
 from bitbandit.quantizer import (
     AssumptionViolation,
     QuantizationRangeError,
@@ -18,6 +22,7 @@ from bitbandit.quantizer import (
     reconstruct_context,
     reward_bit,
 )
+from bitbandit.unknown import new_learner_state
 
 
 def random_unit_ball(n, d, rng):
@@ -102,7 +107,7 @@ class TestStochasticQuantizer:
 
     @pytest.mark.parametrize("levels, lo, hi", [(1, 0.0, 1.0), (3, -1.0, 2.0)])
     def test_scalar_matches_array_draw_for_draw(self, levels, lo, hi):
-        """A float takes the scalar branch: same level and rng state as a 1-array."""
+        """A float is a 0-d array: same level and rng state as a 1-array."""
         sq = StochasticQuantizer(levels, lo, hi)
         data_rng = np.random.default_rng(7)
         edges = [lo, hi, math.nextafter(hi, lo), lo - 5e-10, hi + 5e-10]
@@ -144,6 +149,61 @@ class TestMagnitudeScale:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             magnitude_scale(0)
+
+
+_D3_FRAME = BitBuffer(0, bit_budget(3))
+_ONE_D = EnvironmentSpec(d=1, n_actions=2, theta_star=[1.0], noise_model=Bernoulli(),
+                         context_model=BinarySupport(p_minus=(0.25, 0.5)), horizon=1)
+
+# Each entry point that takes a count: the count's name in its errors, and a call
+# that passes it v and returns what two equal counts must give alike.
+_COUNTS = {
+    "magnitude_scale": ("dimension", magnitude_scale),
+    "q_size": ("dimension", q_size),
+    "LatticeEnumerator": ("dimension", lambda v: LatticeEnumerator(v).unrank(7)),
+    "lattice_enumerator": ("dimension", lambda v: lattice_enumerator(v).unrank(7)),
+    "bit_budget": ("dimension", bit_budget),
+    "decode_unknown": ("dimension", lambda v: decode_unknown(_D3_FRAME, v).context),
+    "new_learner_state": ("dimension", lambda v: new_learner_state(v).rhs),
+    "solve_min_rounds": ("solve_min_rounds", lambda v: new_learner_state(3, v).solve_min_rounds),
+    "theta_net.d": ("dimension", lambda v: theta_net(v, 4)),
+    "theta_net.n": ("n", lambda v: theta_net(3, v)),
+    "StochasticQuantizer": ("levels", StochasticQuantizer),
+    "estimate_xstar": ("n_samples", lambda v: estimate_xstar(
+        _ONE_D, [1.0], v, np.random.default_rng(0))),
+}
+
+
+class TestCountContract:
+    """A count is an integer at least its lower bound, checked by one rule: anything
+    operator.index refuses is a ValueError naming the count, not a TypeError."""
+
+    @pytest.mark.parametrize("entry, value", [
+        (entry, value) for entry in sorted(_COUNTS) for value in (2.5, 3.0, "3", None)
+        if (entry, value) != ("solve_min_rounds", None)])  # None asks for the default, d
+    def test_a_non_integer_is_a_value_error_naming_the_count(self, entry, value):
+        name, call = _COUNTS[entry]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            call(value)
+
+    @pytest.mark.parametrize("entry", sorted(_COUNTS))
+    def test_a_python_or_numpy_integer_is_taken_alike(self, entry):
+        _, call = _COUNTS[entry]
+        np.testing.assert_equal(call(np.int64(3)), call(3))
+
+    def test_a_float_dimension_finds_no_cached_enumerator(self):
+        bit_budget(3)  # cached: the float must not find this entry
+        for call in (bit_budget, lattice_enumerator):
+            with pytest.raises(ValueError, match="dimension must be an integer, got 3.0"):
+                call(3.0)
+        with pytest.raises(ValueError, match="dimension must be an integer, got 1.5"):
+            decode_unknown(_D3_FRAME, 1.5)
+
+    def test_a_count_below_its_bound_names_both(self):
+        with pytest.raises(ValueError, match=r"^levels must be >= 1, got 0$"):
+            StochasticQuantizer(np.int64(0))
+        with pytest.raises(ValueError, match=r"^solve_min_rounds must be >= 0, got -1$"):
+            new_learner_state(3, np.int8(-1))
 
 
 class TestRewardBit:
@@ -259,7 +319,7 @@ class TestQuantizeContext:
         with pytest.raises(AssumptionViolation, match="sum to 6 .* budget 4"):
             _enforce_l1_budget(np.array([3, 3]), np.array([3.0, 3.0]), 4)
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(st.integers(1, 64).flatmap(
                lambda d: st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)),
            st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))

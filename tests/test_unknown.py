@@ -61,7 +61,7 @@ class TestLearnerState:
             new_learner_state(0)
 
     def test_rejects_a_negative_solve_start(self):
-        with pytest.raises(ValueError, match="solve_min_rounds must be nonnegative"):
+        with pytest.raises(ValueError, match="solve_min_rounds must be >= 0, got -1"):
             new_learner_state(3, solve_min_rounds=-1)
 
     def test_update_accumulates_offdiag_and_replaces_diag(self):
@@ -181,7 +181,7 @@ def parent_solve_rule(v, u):
 
 
 class TestSolveRule:
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=200)
     @given(st.integers(1, 64).flatmap(lambda d: st.tuples(
                st.just(d), st.integers(1, d), st.integers(d, d + 8))),
            st.sampled_from(["full", "coordinates", "subspace", "nearly-singular"]),
