@@ -29,7 +29,7 @@ from .harness import (
     summarize,
     write_summary_csv,
 )
-from .quantizer import QuantizedContext
+from .quantizer import QuantizedContext, _integer
 
 
 def _load(path):
@@ -90,11 +90,13 @@ def _message_roundtrip_ok(d: int, rng: random.Random) -> bool:
 
 
 def _cmd_codec_selftest(args) -> int:
-    for flag, value, low in (("--max-d", args.max_d, 1), ("--samples", args.samples, 1),
-                             ("--exhaustive-limit", args.exhaustive_limit, 0)):
-        if value < low:  # a count that would check nothing
-            print(f"codec-selftest: {flag} must be >= {low}, got {value}", file=sys.stderr)
-            return 2
+    try:  # a count below its bound would check nothing
+        for flag, value, low in (("--max-d", args.max_d, 1), ("--samples", args.samples, 1),
+                                 ("--exhaustive-limit", args.exhaustive_limit, 0)):
+            _integer(value, flag, low)
+    except ValueError as exc:
+        print(f"codec-selftest: {exc}", file=sys.stderr)
+        return 2
     rng = random.Random(0)  # stdlib: ranks can exceed any fixed-width integer
     failures = 0
     for d in range(1, args.max_d + 1):

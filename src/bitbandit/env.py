@@ -10,7 +10,10 @@ Conventions, applied identically to every algorithm so comparisons are fair:
   (r -> 2r - 1), recovering a conditional mean of exactly <x, theta*>, so
   their least-squares estimates target theta* itself;
 * regret is accounted in raw linear-score units:
-  max_a <X_a, theta*> - <X_chosen, theta*>.
+  max_a <X_a, theta*> - <X_chosen, theta*>;
+* every score <x, theta> and squared norm <x, x> of a context is np.vecdot's,
+  which is each row's own np.dot whatever its position, K or stacking, so
+  identical rows tie and a block of scores equals the per-round ones.
 """
 
 from __future__ import annotations
@@ -53,9 +56,6 @@ __all__ = [
     "assumption2_diagnostic",
 ]
 
-# Context values squared at a time for norms.  A block of rounds that known.simulate
-# draws (8192 values) is one slice; a 20 000-set Monte-Carlo chunk is many.
-_SQUARE_VALUES = 1 << 16
 _NORMAL = NormalDist()
 
 
@@ -133,7 +133,7 @@ class GaussianProjected(_ContextLaw):
 
     def _project(self, out: np.ndarray) -> np.ndarray:  # scales and projects in place
         out *= self._stds
-        norms = np.sqrt(_sum_squares(out))[:, :, None]  # as np.linalg.norm
+        norms = np.sqrt(np.vecdot(out, out))[:, :, None]
         out /= np.maximum(norms, 1.0)  # x / 1.0 is x: only norms over 1 rescale
         return out
 
@@ -211,7 +211,7 @@ class CustomDiscrete(_ContextLaw):
                 raise ValueError(f"action {a}: support and probs must be finite")
             if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
                 raise ValueError(f"action {a}: probabilities must be a distribution")
-            if np.any(np.linalg.norm(sup, axis=1) > 1.0 + _BOUNDARY_TOL):
+            if np.any(np.sqrt(np.vecdot(sup, sup)) > 1.0 + _BOUNDARY_TOL):
                 raise ValueError(f"action {a}: support vector outside the unit ball")
 
     @classmethod
@@ -386,19 +386,8 @@ def sample_rounds(spec: EnvironmentSpec, c: int, rng: np.random.Generator):
 
 def _in_unit_ball(out: np.ndarray) -> np.ndarray:
     # sqrt is monotone, so this is the largest norm; NaN fails the test too
-    if not math.sqrt(_sum_squares(out).max(initial=0.0)) <= 1.0 + _BOUNDARY_TOL:
+    if not math.sqrt(np.vecdot(out, out).max(initial=0.0)) <= 1.0 + _BOUNDARY_TOL:
         raise AssumptionViolation("sampled context outside the unit ball")
-    return out
-
-
-def _sum_squares(sets: np.ndarray) -> np.ndarray:
-    """np.add.reduce(sets * sets, axis=2) of (n, K, d) context sets, squared a slice of
-    sets at a time so that no temporary is as large as a Monte-Carlo chunk."""
-    step = max(1, _SQUARE_VALUES // (sets.shape[1] * sets.shape[2]))
-    out = np.empty(sets.shape[:2])
-    for lo in range(0, len(sets), step):
-        part = sets[lo:lo + step]
-        np.add.reduce(part * part, axis=2, out=out[lo:lo + step])
     return out
 
 
@@ -448,7 +437,7 @@ def reward_of(spec: EnvironmentSpec, score: float, u: float) -> float:
 
 def regret_gap(context_set: np.ndarray, theta_star: np.ndarray, action: int) -> float:
     """Instantaneous regret max_a <X_a, theta*> - <X_action, theta*> (>= 0)."""
-    scores = context_set @ theta_star
+    scores = np.vecdot(context_set, theta_star)
     return float(scores.max() - scores[action])
 
 

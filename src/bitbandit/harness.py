@@ -26,6 +26,7 @@ from .known import (
     run_naive_baseline,
     theta_net,
 )
+from .quantizer import _integer
 from .unknown import run_full_precision, run_unknown
 
 __all__ = [
@@ -357,6 +358,7 @@ def run_experiment(cfg: ExperimentConfig, base_dir: str | None = None) -> Experi
 
 def default_checkpoints(T: int) -> list[int]:
     """Checkpoint grid {T/100, T/10, T/2, T}, floored, clamped to >= 1."""
+    T = _integer(T, "T")
     if T < 1:
         raise ValueError("need at least one round to summarize")
     return sorted({max(1, T // 100), max(1, T // 10), max(1, T // 2), T})

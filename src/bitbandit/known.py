@@ -57,8 +57,9 @@ _OUTER_VALUES = 1 << 17  # largest n d^2 whose menu outer products LinUcb tabula
 
 
 def greedy_action(context_set: np.ndarray, theta: np.ndarray) -> int:
-    """Index of the action maximizing <X_a, theta>; lowest index on ties."""
-    return int((context_set @ theta).argmax())
+    """Index of the action maximizing <X_a, theta>; lowest index on ties.  The
+    scores are np.vecdot's, as every context's score is (see bitbandit.env)."""
+    return int(np.vecdot(context_set, theta).argmax())
 
 
 # --------------------------------------------------------------------------
@@ -81,37 +82,17 @@ def _finite_supports(spec: EnvironmentSpec):
     return None if exact_xstar_obstacle(spec) else spec.context_model.atoms(spec.d)
 
 
-def _agent_scores(supports, theta: np.ndarray) -> list[np.ndarray]:
-    """Per action, <v, theta> for each atom v, rounded as greedy_action rounds it.
-
-    Atom i of every action a sits in row a of the i-th (K, d) context set, so
-    the stacked product runs the agent's own (K, d) @ theta kernel.  The last
-    bit of a row's score depends on K and on the row's position, and a plain
-    ``vecs @ theta`` would break exact ties differently from the agent.
-    """
-    n = max(len(probs) for _, probs in supports)
-    chunk = 4096  # context sets per product, bounding the size of `sets`
-    scores = np.empty((n, len(supports)))
-    sets = np.zeros((min(chunk, n), len(supports), len(theta)))
-    for lo in range(0, n, chunk):
-        m = min(chunk, n - lo)
-        for a, (vecs, _) in enumerate(supports):
-            part = vecs[lo:lo + m]
-            sets[:len(part), a] = part  # rows past an action's last atom score junk
-        scores[lo:lo + m] = sets[:m] @ theta
-    return [scores[:len(probs), a] for a, (_, probs) in enumerate(supports)]
-
-
 def _xstar_row(supports, theta: np.ndarray) -> np.ndarray:
     """E[greedy-played context] by order statistics, in O(K^2 S log S):
 
     sum_a sum_v p_a(v) v prod_{b<a} P(s_b < s(v)) prod_{b>a} P(s_b <= s(v)),
 
     strict below a and not above it, which is greedy_action's lowest-index tie rule.
+    An atom's score is greedy_action's score of the same row.
     """
-    scores = _agent_scores(supports, theta)
     ranked = []  # per action: atoms by score, sorted scores, P(s < k-th sorted score)
-    for s, (_, probs) in zip(scores, supports):
+    for vecs, probs in supports:
+        s = np.vecdot(vecs, theta)
         order = np.argsort(s, kind="stable")
         ranked.append((order, s[order], np.concatenate([[0.0], np.cumsum(probs[order])])))
     acc = np.zeros(len(theta))
@@ -156,7 +137,7 @@ def estimate_xstar(spec: EnvironmentSpec, theta: np.ndarray, n_samples: int,
     while left > 0:
         n = min(left, _XSTAR_CHUNK)
         ctx = environment.sample_contexts(spec, n, rng)  # (n, K, d)
-        picks = np.argmax(ctx @ theta, axis=1)
+        picks = np.vecdot(ctx, theta).argmax(axis=1)
         acc += ctx[np.arange(n), picks].sum(axis=0)
         left -= n
     return acc / n_samples
@@ -278,11 +259,6 @@ class LinUcb:
             with np.errstate(all="ignore"):
                 self._outer = self.actions[:, :, None] * self.actions[:, None, :]
         self._widths, self._ucb = np.empty(self.n), np.empty(self.n)
-        # lowest index of each row's identical copies: identical rows tie, but
-        # the product actions @ theta may round them apart by their position
-        _, first, inverse = np.unique(self.actions, axis=0, return_index=True,
-                                      return_inverse=True)
-        self._first = first[inverse.reshape(-1)].tolist()
         self.V = lam * np.eye(self.d)
         self.b = np.zeros(self.d)
         self.t = 0
@@ -310,12 +286,12 @@ class LinUcb:
             raise RuntimeError("update() must be called before the next select()")
         self.t += 1
         theta, widths = self._estimate()
-        ucb = np.matmul(self.actions, theta, out=self._ucb)
+        ucb = np.vecdot(self.actions, theta, out=self._ucb)  # identical rows tie
         ucb += np.multiply(widths, self._beta(self.t), out=widths)
         best = ucb.argmax()  # the first NaN, if there is one
         if math.isnan(ucb[best]):
             raise np.linalg.LinAlgError(f"LinUCB index is NaN in round {self.t}")
-        self._pending = self._first[best]
+        self._pending = int(best)
         return self._pending
 
     def update(self, reward: float) -> None:
@@ -369,11 +345,10 @@ def seed_streams(seed: int) -> tuple[np.random.Generator, ...]:
 
 def _menu_plays(sets: np.ndarray, entry) -> list[int]:
     """The actions a block's context sets get under a menu entry: the entry itself
-    when it is an action index, else the greedy action under it, a theta.  The
-    stacked product rounds each set's scores as greedy_action's own product does."""
+    when it is an action index, else greedy_action's action under it, a theta."""
     if isinstance(entry, int):
         return [entry] * len(sets)
-    return (sets @ entry).argmax(axis=1).tolist()
+    return np.vecdot(sets, entry).argmax(axis=1).tolist()
 
 
 def simulate(spec: EnvironmentSpec, seed: int, broadcast, channel: Channel, learn,
@@ -389,11 +364,10 @@ def simulate(spec: EnvironmentSpec, seed: int, broadcast, channel: Channel, lear
     Both streams are read a block of rounds at a time: the environment as
     sample_context then realize_reward draw each round, the quantizer as
     ``channel.rows``.  The plays under a menu entry are computed for the whole
-    block on the entry's first use in it.  The mean reward reads the played
-    row's <x, theta*> from one np.vecdot of the block's sets with theta*,
-    which equals each row's own np.dot, as in mean_reward.  The regret reads
-    one product of the block's sets with theta*, rounded as regret_gap rounds
-    each set's, and the trace is filled a block at a time.
+    block on the entry's first use in it.  One np.vecdot of the block's sets
+    with theta* gives every row's <x, theta*>, as mean_reward and regret_gap
+    compute it: the mean reward reads the played row's, the regret each set's
+    best less it, and the trace is filled a block at a time.
     """
     env_rng, quant_rng = seed_streams(seed)
     trace = RegretTrace(seed, capacity=spec.horizon)
@@ -402,7 +376,8 @@ def simulate(spec: EnvironmentSpec, seed: int, broadcast, channel: Channel, lear
         n = min(block, spec.horizon - start)
         sets, uniforms = environment.sample_rounds(spec, n, env_rng)
         quant = channel.rows(quant_rng, n, spec.d)
-        means = np.vecdot(sets, spec.theta_star).tolist()
+        scores = np.vecdot(sets, spec.theta_star)
+        means = scores.tolist()
         plays = None if menu is None else [None] * len(menu)
         actions, bits = [], []
         for row, (ctx, u, q) in enumerate(zip(sets, uniforms.tolist(), quant)):
@@ -418,7 +393,6 @@ def simulate(spec: EnvironmentSpec, seed: int, broadcast, channel: Channel, lear
             learn(*received)
             actions.append(action)
             bits.append(n_bits)
-        scores = sets @ spec.theta_star
         trace.extend(scores.max(axis=1) - scores[np.arange(n), actions], bits)
     return trace
 

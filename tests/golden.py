@@ -5,7 +5,8 @@ root of a checkout with
 
     PYTHONPATH=src python tests/golden.py
 
-It runs all nine configs in configs/, which takes a few minutes.  The
+It runs all nine configs in configs/, which takes a few minutes, and prints
+per config how many of its digests differ from the file it overwrites.  The
 acceptance criteria that run these configs record their CSVs' digests, and
 tests/test_acceptance.py::test_11_golden_csv_digests compares all nine with
 the file.  The digests belong to the NumPy and BLAS they were recorded with,
@@ -54,8 +55,12 @@ def run_config(name: str, base_dir) -> dict:
 
 
 def main() -> None:
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         table = {name: run_config(name, Path(tmp) / name) for name in config_names()}
+    for name, files in table.items():  # a file new to the table counts as changed
+        changed = sum(old.get(name, {}).get(file) != digest for file, digest in files.items())
+        print(f"{name}: {changed} of {len(files)} digests changed")
     stamped = {STAMP_KEY: platform_stamp(), **table}
     GOLDEN.write_text(json.dumps(stamped, indent=1, sort_keys=True) + "\n")
     print(f"wrote {sum(map(len, table.values()))} digests of {len(table)} configs to {GOLDEN}")

@@ -162,7 +162,7 @@ def test_quantizer_rows_draw_as_per_round_calls_do(d):
 def test_block_scores_equal_per_set_regret():
     spec = _gauss_spec(Bernoulli())
     sets, _ = environment.sample_rounds(spec, 500, np.random.default_rng(5))
-    stacked = sets @ spec.theta_star
+    stacked = np.vecdot(sets, spec.theta_star)
     for ctx, scores in zip(sets, stacked):
         for a in range(spec.n_actions):
             assert scores.max() - scores[a] == environment.regret_gap(ctx, spec.theta_star, a)

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitbandit import env as environment
-from bitbandit import known
 from bitbandit.env import (
     TRACE_FIELDS,
     Bernoulli,
@@ -256,14 +255,10 @@ class TestRewards:
 
 
 @pytest.mark.parametrize("n, k, d", [(3000, 10, 5), (500, 10, 64), (70_001, 1, 1)])
-def test_sliced_squares_equal_the_unsliced_formula(n, k, d):
-    assert known._BLOCK_VALUES <= environment._SQUARE_VALUES  # a block of rounds: one slice
-    assert n * k * d > environment._SQUARE_VALUES  # more than one slice, ending inside one
-    sets = np.random.default_rng(n).standard_normal((n, k, d))
-    assert environment._sum_squares(sets).tobytes() == np.add.reduce(sets * sets, axis=2).tobytes()
+def test_projection_divides_by_the_vecdot_norm(n, k, d):
     law = GaussianProjected(scales=(0.5,) * k)
     want = np.random.default_rng(1).standard_normal((n, k, d)) * law._stds
-    want /= np.maximum(np.sqrt(np.add.reduce(want * want, axis=2, keepdims=True)), 1.0)
+    want /= np.maximum(np.sqrt(np.vecdot(want, want))[:, :, None], 1.0)
     assert law.sample(n, d, np.random.default_rng(1)).tobytes() == want.tobytes()
 
 

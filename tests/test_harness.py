@@ -427,11 +427,11 @@ def test_rng_stream_layout_is_pinned(kind, tmp_path):
 # and BLAS of _PIN_PLATFORM, as golden.platform_stamp() names them.
 _PIN_PLATFORM = {"numpy": "2.4.6", "blas": "scipy-openblas", "blas_version": "0.3.31.188.0"}
 _PIN_SHA256 = {
-    "full_precision": "af87cd308a58c6f096cd5a1c783c5b59e2a39658b26824f277dbe90de570c3db",
+    "full_precision": "c0316f8253fe3cd4928d01a326b92c094107a2358b1e35edee205bfa7e87119d",
     "known": "fd466a2701fdbe46a20868964c15b25f6eb29c70ab16427899f3efd180611670",
-    "known_custom": "90eadba297aaf098d67689f9ecbe262c68814b98451dc94cd12ccf566c80d011",
+    "known_custom": "ce3b43689b3ca656d5babfc736b58072791bdbe4c6a7b3db80dcc5a9baeec9c5",
     "naive_mean": "9bb84c067bd859a18bed1132b43410599bb2f4a5ed114ea5bd09c2eafeb2779c",
-    "unknown": "fa2244f5c803fffb6f557108250941e1343ad38b0b0e09175ecfe7fed6bf799a",
+    "unknown": "5c5afa5e09491447ef1438eda80e0f883249d56b107eb667b2db884f1a81ccf0",
 }
 
 
@@ -483,8 +483,13 @@ class TestSummaries:
     def test_default_checkpoints(self):
         assert default_checkpoints(10_000) == [100, 1000, 5000, 10_000]
         assert default_checkpoints(7) == [1, 3, 7]
-        with pytest.raises(ValueError):
+        grid = default_checkpoints(np.int64(250))
+        assert grid == [2, 25, 125, 250] and all(type(t) is int for t in grid)
+        with pytest.raises(ValueError, match="need at least one round to summarize"):
             default_checkpoints(0)
+        for T in (250.0, "7", None):
+            with pytest.raises(ValueError, match=re.escape(f"T must be an integer, got {T!r}")):
+                default_checkpoints(T)
 
 
 class TestCli:

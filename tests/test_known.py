@@ -100,6 +100,11 @@ class TestGreedyAction:
         ctx = np.array([[0.5], [0.5], [0.5]])
         assert greedy_action(ctx, np.array([1.0])) == 0
         assert greedy_action(ctx, np.array([0.0])) == 0
+        rng = np.random.default_rng(0)
+        for _ in range(50):  # a product (K, d) @ theta plays row 2 of several of these
+            ctx = rng.uniform(-1.0, 1.0, (3, 16)) / 4.0
+            ctx[2] = ctx[0]
+            assert greedy_action(ctx, rng.uniform(-1.0, 1.0, 16) / 4.0) != 2
 
 
 class TestExactXstar:
@@ -427,13 +432,21 @@ class TestLinUcb:
     @settings(max_examples=200)
     @given(st.integers(1, 64), st.integers(1, 10), st.integers(0, 2**32 - 1))
     def test_vecdot_equals_each_rows_own_dot(self, d, k, seed):
-        """simulate reads the played row's <x, theta*> from np.vecdot of a block's
-        sets; mean_reward computes it with np.dot of that row alone."""
+        """Every score is np.vecdot's, of a block's sets, one set or a menu; mean_reward
+        computes a row's with np.dot of that row alone.  Copies of a row score alike
+        wherever they sit, in a buffer offset by one element too."""
         rng = np.random.default_rng(seed)
         sets = rng.uniform(-1.0, 1.0, (64, k, d)) / math.sqrt(d)
         theta = rng.uniform(-1.0, 1.0, d) / math.sqrt(d)
         rows = np.array([[np.dot(x, theta) for x in ctx] for ctx in sets])
         assert np.vecdot(sets, theta).tobytes() == rows.tobytes()
+        shifted = np.empty(64 * k * d + 1)[1:].reshape(64 * k, d)
+        shifted[:] = sets.reshape(-1, d)
+        copies = rng.integers(0, 64 * k, int(rng.integers(2, 16)))
+        shifted[copies] = shifted[copies[0]]
+        scores = np.vecdot(shifted, theta)
+        assert len({scores[i].tobytes() for i in copies}) == 1
+        assert np.vecdot(shifted.reshape(64, k, d), theta).tobytes() == scores.tobytes()
 
     def test_solve_gufuncs_are_where_numpy_keeps_them(self):
         solve, solve1 = known._umath_linalg.solve, known._umath_linalg.solve1
