@@ -115,6 +115,7 @@ class LatticeEnumerator:
                        for k in range(d + 1)]
         self.size = self._count[d][self.budget]
         self.width = (self.size - 1).bit_length()  # rank bits on the wire
+        self.bits = 1 + 2 * d + self.width  # a message: reward, sign and square bits, rank
 
     def rank(self, vec) -> int:
         """Position of ``vec`` in the lexicographic enumeration."""
@@ -163,8 +164,7 @@ def lattice_enumerator(d: int) -> LatticeEnumerator:
 
 def bit_budget(d: int) -> int:
     """Exact per-round uplink cost for the unknown-distribution message."""
-    d = _integer(d, "dimension", 1)
-    return 1 + 2 * d + lattice_enumerator(d).width
+    return lattice_enumerator(_integer(d, "dimension", 1)).bits
 
 
 # --------------------------------------------------------------------------
@@ -207,16 +207,16 @@ def encode_unknown(msg: UnknownMessage) -> BitBuffer:
     field = int.from_bytes(packed.tobytes(), "big") >> (-2 * d % 8)
     enum = lattice_enumerator(d)
     head = (_reward_bit(msg.reward_bit) << 2 * d) | field
-    return BitBuffer((head << enum.width) | enum.rank(qc.magnitudes), bit_budget(d))
+    return BitBuffer((head << enum.width) | enum.rank(qc.magnitudes), enum.bits)
 
 
 def decode_unknown(buf: BitBuffer, d: int) -> UnknownMessage:
     """Parse an unknown-distribution message for dimension ``d``."""
     d = _integer(d, "dimension", 1)  # a Python int, so that the fields below are too
-    if len(buf) != (budget := bit_budget(d)):
-        raise MessageCodecError(
-            f"unknown message for d={d} is {budget} bits, buffer has {len(buf)}")
     enum = lattice_enumerator(d)
+    if len(buf) != enum.bits:
+        raise MessageCodecError(
+            f"unknown message for d={d} is {enum.bits} bits, buffer has {len(buf)}")
     head, rank = divmod(buf.value, 1 << enum.width)
     reward_bit, field = divmod(head, 1 << 2 * d)
     # the 2d-bit sign and square field, left-aligned in whole bytes as packbits

@@ -23,12 +23,13 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
-from .quantizer import _BOUNDARY_TOL, AssumptionViolation, _integer
+from .quantizer import _BOUNDARY_TOL, AssumptionViolation, _integer, _real
 
 __all__ = [
     "GaussianProjected",
@@ -57,6 +58,10 @@ __all__ = [
 ]
 
 _NORMAL = NormalDist()
+# Longest horizon a spec, and so a config, may ask for.  A run holds one seed's trace
+# at a time, at 20 B a round, and keeps a few figures of each finished seed: the limit
+# holds a run near 200 MB of trace however many seeds it has.
+_ROUNDS_LIMIT = 10_000_000
 
 
 # --------------------------------------------------------------------------
@@ -112,7 +117,8 @@ class GaussianProjected(_ContextLaw):
     scales: tuple[float, ...]  # covariance scale c_a; X ~ N(0, c_a I) then projected
 
     def __post_init__(self):
-        if not all(0.0 <= c < math.inf for c in self.scales):
+        if not all(0.0 <= _real(c, f"scales[{a}]") < math.inf
+                   for a, c in enumerate(self.scales)):
             raise ValueError(f"covariance scales must be finite and nonnegative, "
                              f"got {list(self.scales)}")
         # per-action standard deviations, shaped to scale an (n, K, d) draw
@@ -155,7 +161,7 @@ class BinarySupport(_ContextLaw):
     p_minus: tuple[float, ...]
 
     def __post_init__(self):
-        if any(not 0.0 <= p <= 1.0 for p in self.p_minus):
+        if any(not 0.0 <= _real(p, f"p_minus[{a}]") <= 1.0 for a, p in enumerate(self.p_minus)):
             raise ValueError("p_minus entries must lie in [0, 1]")
 
     def check(self, d: int, n_actions: int) -> list[str]:
@@ -281,7 +287,7 @@ class TruncatedGaussian(_Law):
     sigma: float
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma < math.inf:
+        if not 0.0 <= _real(self.sigma, "sigma") < math.inf:
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
 
     def reward(self, mu: float, u: float) -> float:
@@ -304,7 +310,8 @@ NOISE_LAWS = {law.kind: law for law in (Bernoulli, TruncatedGaussian)}
 
 @dataclass
 class EnvironmentSpec:
-    """Immutable description of one simulated bandit environment."""
+    """Immutable description of one simulated bandit environment; its counts are
+    stored as the Python ints _integer gives."""
 
     d: int
     n_actions: int
@@ -318,14 +325,18 @@ class EnvironmentSpec:
         problems = self.validate()
         if problems:
             raise ValueError("invalid environment spec: " + "; ".join(problems))
+        self.d, self.n_actions, self.horizon = map(operator.index,
+                                                   (self.d, self.n_actions, self.horizon))
 
     def validate(self) -> list[str]:
         """Return a list of every constraint violation (empty when valid)."""
         problems = []
-        for name, count, low in (("dimension", self.d, 1), ("n_actions", self.n_actions, 1),
-                                 ("horizon", self.horizon, 0)):
+        for name, count, limit in (("dimension", self.d, math.inf),
+                                   ("n_actions", self.n_actions, math.inf),
+                                   ("horizon", self.horizon, _ROUNDS_LIMIT)):
             try:
-                _integer(count, name, low)
+                if _integer(count, name, 1) > limit:
+                    problems.append(f"{name} must be at most the limit of {limit}, got {count}")
             except ValueError as exc:
                 problems.append(str(exc))
         if self.theta_star.shape != (self.d,):
@@ -496,7 +507,8 @@ class RegretTrace:
     running sum and int32 bit counts, 20 B a round."""
 
     def __init__(self, seed: int, capacity: int = 0):
-        self.seed = seed
+        self.seed = seed  # a label: read_csv gives -1
+        capacity = _integer(capacity, "capacity", 0)
         self._n = 0
         self._inst, self._cum = np.empty(capacity), np.empty(capacity)
         self._bits = np.empty(capacity, dtype=np.int32)
@@ -551,6 +563,7 @@ class RegretTrace:
 
     def regret_at(self, t: int) -> float:
         """Cumulative regret after round t (1-based)."""
+        t = _integer(t, "round")
         if not 1 <= t <= len(self):
             raise ValueError(f"round {t} outside 1..{len(self)}")
         return float(self._cum[t - 1])

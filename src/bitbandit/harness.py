@@ -17,7 +17,8 @@ from dataclasses import Field, dataclass, field, fields
 import numpy as np
 import yaml
 
-from .env import CONTEXT_LAWS, NOISE_LAWS, EnvironmentSpec, RegretTrace, read_table, write_table
+from .env import (_ROUNDS_LIMIT, CONTEXT_LAWS, NOISE_LAWS, EnvironmentSpec, RegretTrace,
+                  read_table, write_table)
 from .known import (
     build_action_map,
     exact_xstar_obstacle,
@@ -55,10 +56,6 @@ SCHEMA_VERSION = 1
 # point in Python, and each point is an xstar row of up to xstar_samples context sets.
 _NET_POINTS_LIMIT = 10_000
 _XSTAR_SAMPLES_LIMIT = 10_000_000
-# Longest horizon a config may ask for.  A run holds one seed's trace at a time, at
-# 20 B a round, and keeps a few figures of each finished seed: the limit holds a run
-# near 200 MB of trace however many seeds it has.
-_ROUNDS_LIMIT = 10_000_000
 
 # summary.csv column -> the type it is read back as, in column order
 SUMMARY_FIELDS = {
@@ -86,8 +83,8 @@ class ConfigValidationError(ValueError):
 
 @dataclass(frozen=True)
 class _Leaf:
-    """A scalar: a value of type ``cast`` (int, float or str) for which ``ok``
-    holds; ``rule`` completes the problem "<key> must be <rule>"."""
+    """A scalar: a value of type ``cast`` (int, read by _integer, float or str) for
+    which ``ok`` holds; ``rule`` completes the problem "<key> must be <rule>"."""
 
     cast: type
     ok: Callable[[object], bool]
@@ -184,7 +181,12 @@ def _read(value, shape, name: str, problems: list[str], where: str = ""):
     if shape is float:
         return _coerce(value, float, name, problems)
     if isinstance(shape, _Leaf):
-        out = _coerce(value, shape.cast, name, problems)
+        try:
+            out = (_integer(value, name) if shape.cast is int
+                   else _coerce(value, shape.cast, name, problems))
+        except ValueError as exc:  # _integer's problem
+            problems.append(str(exc))
+            return None
         if out is None or shape.ok(out):
             return out
         problems.append(f"{name} must be {shape.rule}, got {value!r}")
@@ -221,18 +223,18 @@ def _read(value, shape, name: str, problems: list[str], where: str = ""):
 
 
 def _coerce(value, cast, name: str, problems: list[str]):
-    """``value`` as an int, a finite float or a str, or None after appending a problem."""
-    try:  # booleans, strings as numbers, non-integral floats and non-finite numbers fail
+    """``value`` as a finite float or a str, or None after appending a problem; an
+    integer leaf is read by _integer instead."""
+    try:  # booleans, strings as numbers and non-finite numbers fail
         out = (None if isinstance(value, bool) or isinstance(value, str) != (cast is str)
                else cast(value))
-        if (cast is float and not math.isfinite(out)
-                or isinstance(value, float) and out != value):
+        if cast is float and not math.isfinite(out):
             out = None
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None:
-        what = {int: "an integer", float: "a number", str: "a string"}[cast]
-        problems.append(f"{name} must be {what}, got {value!r}")
+        problems.append(f"{name} must be {'a number' if cast is float else 'a string'}, "
+                        f"got {value!r}")
     return out
 
 

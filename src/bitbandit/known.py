@@ -28,7 +28,7 @@ from . import env as environment
 from .codec import BitBuffer, decode_known, encode_known
 from .env import EnvironmentSpec, RegretTrace
 from .env import regret_step  # noqa: F401  the layer name bench/child.py times here
-from .quantizer import _integer, reward_bit
+from .quantizer import _integer, _real, reward_bit
 
 __all__ = [
     "greedy_action",
@@ -182,7 +182,7 @@ def build_action_map(spec: EnvironmentSpec, thetas, method: str = "auto",
 
 def misspecify_xstar(amap: ActionMap, eps: float, rng: np.random.Generator) -> ActionMap:
     """Displace every table entry by exactly eps in a random direction."""
-    if not 0.0 <= eps < math.inf:  # NaN fails too
+    if not 0.0 <= _real(eps, "eps") < math.inf:  # NaN fails too
         raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     if eps == 0.0:
         return ActionMap(amap.thetas.copy(), amap.table.copy(), amap.provenance)
@@ -246,7 +246,7 @@ class LinUcb:
             raise ValueError(f"need at least one action, got a menu of shape "
                              f"{self.actions.shape}")
         self.n, self.d = self.actions.shape
-        if not (math.isfinite(lam) and lam > 0):
+        if not (math.isfinite(_real(lam, "ridge parameter")) and lam > 0):
             raise ValueError(f"ridge parameter must be positive and finite, got {lam}")
         self.lam = lam
         self._sqrt_lam = math.sqrt(lam)
@@ -340,7 +340,8 @@ one_bit_channel = Channel(rows=lambda quant_rng, n, d: quant_rng.random(n).tolis
 
 def seed_streams(seed: int) -> tuple[np.random.Generator, ...]:
     """Children 0 and 1 of SeedSequence(seed): environment and quantizer."""
-    return tuple(np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(2))
+    return tuple(np.random.default_rng(c)
+                 for c in np.random.SeedSequence(_integer(seed, "seed", 0)).spawn(2))
 
 
 def _menu_plays(sets: np.ndarray, entry) -> list[int]:

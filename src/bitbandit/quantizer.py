@@ -45,14 +45,27 @@ _BOUNDARY_TOL = 1e-9
 
 
 def _integer(value, name: str, low: int | None = None) -> int:
-    """``value`` as a Python int, through operator.index, and at least ``low`` when
-    given: the one check of a count or a dimension, raising a ValueError naming it."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as a Python int, and at least ``low`` when given: the one check of a
+    count or a dimension, in configs and calls alike, raising a ValueError naming it.
+    An int is returned as is and anything else goes through operator.index, but a
+    bool is no count."""
+    if type(value) is not int:
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            value = operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _real(value, name: str):
+    """``value`` itself unless it is a bool, which is no number: a ValueError naming it.
+    The range checks of each real stay with the code that reads it."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     return value
 
 
@@ -74,10 +87,9 @@ class StochasticQuantizer:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", _integer(self.levels, "levels", 1))
-        if self.upper is None:
-            object.__setattr__(self, "upper", float(self.levels))
-        object.__setattr__(self, "lower", float(self.lower))
-        object.__setattr__(self, "upper", float(self.upper))
+        object.__setattr__(self, "lower", float(_real(self.lower, "lower")))
+        object.__setattr__(self, "upper", float(
+            self.levels if self.upper is None else _real(self.upper, "upper")))
         if not self.upper > self.lower:
             raise ValueError(
                 f"empty quantizer range [{self.lower}, {self.upper}]"
@@ -162,6 +174,12 @@ def context_grid(m: int) -> ContextGrid:
     return grid
 
 
+@lru_cache(maxsize=None)
+def _dimension_grid(d: int) -> ContextGrid:
+    """The ContextGrid of d-dimensional contexts, looked up once per dimension."""
+    return context_grid(magnitude_scale(d))
+
+
 class QuantizedContext(NamedTuple):
     """One played context vector as the bits the agent sends; reconstruct_context
     alone maps them to values, with m = magnitude_scale(d) and d = magnitudes.size.
@@ -221,7 +239,7 @@ def quantize_context(x, uniforms: np.ndarray) -> QuantizedContext:
     norm = math.sqrt(float(x @ x))
     if not norm <= 1.0 + _BOUNDARY_TOL:  # NaN fails too
         raise AssumptionViolation(f"context norm {norm} exceeds 1")
-    grid = context_grid(magnitude_scale(d))
+    grid = _dimension_grid(d)
 
     sign_bits = x >= 0.0
     scaled = np.minimum(grid.m * np.abs(x), grid.m)
@@ -243,7 +261,7 @@ def quantize_context(x, uniforms: np.ndarray) -> QuantizedContext:
 def reconstruct_context(qc: QuantizedContext) -> tuple[np.ndarray, np.ndarray]:
     """Unbiased estimates (xhat, xsq_hat) of the context and its elementwise square,
     the bits looked up in the ContextGrid's tables."""
-    grid = context_grid(magnitude_scale(qc.magnitudes.size))
+    grid = _dimension_grid(qc.magnitudes.size)
     xhat = grid.signs.take(qc.sign_bits) * qc.magnitudes / grid.m
     xsq_hat = xhat * xhat + grid.squares.take(qc.square_bits)
     return xhat, xsq_hat

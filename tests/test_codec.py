@@ -107,7 +107,8 @@ class TestBitBuffer:
         buf = BitBuffer(np.int64(5), np.uint8(3))
         assert type(buf.value) is int and len(buf) == 3 and buf.to_bytes() == b"\xa0"
         for value, nbits, name in ((1.0, 1, "frame value"), (np.float64(1), 1, "frame value"),
-                                   ("1", 1, "frame value"), (1, 1.0, "frame length")):
+                                   ("1", 1, "frame value"), (True, 1, "frame value"),
+                                   (1, 1.0, "frame length"), (1, True, "frame length")):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 BitBuffer(value, nbits)
 
@@ -210,7 +211,9 @@ class TestBitBudget:
 class TestKnownCodec:
     @pytest.mark.parametrize("bit, fragment", [(2, "must be 0 or 1"), (-1, "must be 0 or 1"),
                                                (0.5, "must be an integer"),
-                                               (1.0, "must be an integer")])
+                                               (1.0, "must be an integer"),
+                                               (True, "must be an integer, got True"),
+                                               (False, "must be an integer, got False")])
     def test_reward_bit_validation(self, bit, fragment):
         with pytest.raises(ValueError, match=f"reward bit {fragment}"):
             encode_known(bit)

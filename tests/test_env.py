@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from bitbandit import env as environment
 from bitbandit.env import (
+    _ROUNDS_LIMIT,
     TRACE_FIELDS,
     Bernoulli,
     BinarySupport,
@@ -79,6 +80,25 @@ class TestEnvironmentSpec:
                             noise_model=Bernoulli(), horizon=count)
         for name in ("dimension", "n_actions", "horizon"):
             assert f"{name} must be an integer, got {count!r}" in str(exc.value)
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("d", True, "dimension must be an integer, got True"),
+        ("horizon", 0, "horizon must be >= 1, got 0"),
+        ("horizon", _ROUNDS_LIMIT + 1,
+         f"horizon must be at most the limit of {_ROUNDS_LIMIT}, got {_ROUNDS_LIMIT + 1}"),
+    ])
+    def test_a_count_a_config_refuses_is_refused(self, field, value, problem):
+        kw = dict(d=1, n_actions=2, theta_star=[1.0], noise_model=Bernoulli(),
+                  context_model=BinarySupport(p_minus=(0.5, 0.5)), horizon=10)
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            EnvironmentSpec(**{**kw, field: value})
+
+    def test_counts_are_stored_as_python_ints(self):
+        spec = EnvironmentSpec(d=np.int64(3), n_actions=np.int32(2), theta_star=np.full(3, 0.5),
+                               context_model=BinarySupport(p_minus=(0.5, 0.5)),
+                               noise_model=Bernoulli(), horizon=np.uint16(10))
+        assert [(type(v), v) for v in (spec.d, spec.n_actions, spec.horizon)] == [
+            (int, 3), (int, 2), (int, 10)]
 
     def test_theta_norm_bound(self):
         with pytest.raises(ValueError):

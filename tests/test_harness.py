@@ -29,6 +29,7 @@ from bitbandit.harness import (
     seed_figures,
     summarize,
 )
+from bitbandit.quantizer import _integer
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -156,6 +157,30 @@ class TestConfigParsing:
             yaml.safe_dump(raw, fh)
         assert cli_main(["run", str(cfg_path), "--output-dir", str(tmp_path / "out")]) == 2
         assert fragment in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [True, 5.0, "5"])
+    @pytest.mark.parametrize("key, config", [
+        ("schema", lambda v: make_config(schema=v)),
+        ("environment.d", lambda v: make_config(environment__d=v)),
+        ("environment.actions", lambda v: make_config(environment__actions=v)),
+        ("environment.horizon", lambda v: make_config(environment__horizon=v)),
+        ("seeds[1]", lambda v: make_config(seeds=[0, v])),
+        ("algorithm.net_points", lambda v: make_config(
+            algorithm={"kind": "known", "net_points": v})),
+        *[(f"algorithm.{key}", lambda v, key=key: make_config(
+            algorithm__xstar_method="monte-carlo", **{f"algorithm__{key}": v}))
+          for key in ("xstar_samples", "xstar_seed", "misspec_seed")],
+        ("algorithm.solve_min_rounds", lambda v: make_config(
+            algorithm={"kind": "unknown", "solve_min_rounds": v})),
+    ])
+    def test_an_integer_key_refuses_what_a_call_refuses(self, key, config, value):
+        """Every integer leaf is read by _integer: a bool, a float such as 5.0 and a
+        string are refused with the message a call gives."""
+        with pytest.raises(ValueError) as call:
+            _integer(value, key)
+        with pytest.raises(ConfigValidationError) as exc:
+            parse_config(config(value))
+        assert exc.value.problems == [str(call.value)]
 
     @pytest.mark.parametrize("overrides, fragment", [
         ({"algorithm__theta_grid": [[1.0, 0.0]]}, "length d=1"),

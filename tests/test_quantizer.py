@@ -1,6 +1,7 @@
 """Tests for the stochastic scalar quantizer and the context quantizer."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,22 @@ from hypothesis import strategies as st
 
 from bitbandit.codec import (BitBuffer, LatticeEnumerator, bit_budget, decode_unknown,
                             lattice_enumerator, q_size)
-from bitbandit.env import Bernoulli, BinarySupport, EnvironmentSpec
-from bitbandit.known import estimate_xstar, theta_net
+from bitbandit.env import (
+    Bernoulli,
+    BinarySupport,
+    EnvironmentSpec,
+    GaussianProjected,
+    RegretTrace,
+    TruncatedGaussian,
+)
+from bitbandit.known import (
+    ActionMap,
+    LinUcb,
+    estimate_xstar,
+    misspecify_xstar,
+    seed_streams,
+    theta_net,
+)
 from bitbandit.quantizer import (
     AssumptionViolation,
     QuantizationRangeError,
@@ -154,6 +169,8 @@ class TestMagnitudeScale:
 _D3_FRAME = BitBuffer(0, bit_budget(3))
 _ONE_D = EnvironmentSpec(d=1, n_actions=2, theta_star=[1.0], noise_model=Bernoulli(),
                          context_model=BinarySupport(p_minus=(0.25, 0.5)), horizon=1)
+_TRACE = RegretTrace(seed=0)
+_TRACE.extend([0.5] * 5, [1] * 5)
 
 # Each entry point that takes a count: the count's name in its errors, and a call
 # that passes it v and returns what two equal counts must give alike.
@@ -171,15 +188,19 @@ _COUNTS = {
     "StochasticQuantizer": ("levels", StochasticQuantizer),
     "estimate_xstar": ("n_samples", lambda v: estimate_xstar(
         _ONE_D, [1.0], v, np.random.default_rng(0))),
+    "seed_streams": ("seed", lambda v: [rng.random() for rng in seed_streams(v)]),
+    "regret_at": ("round", _TRACE.regret_at),
+    "RegretTrace": ("capacity", lambda v: RegretTrace(0, v)._inst.shape),
 }
 
 
 class TestCountContract:
-    """A count is an integer at least its lower bound, checked by one rule: anything
-    operator.index refuses is a ValueError naming the count, not a TypeError."""
+    """A count is an integer at least its lower bound, checked by one rule: a bool, and
+    anything operator.index refuses, is a ValueError naming the count, not a TypeError."""
 
     @pytest.mark.parametrize("entry, value", [
-        (entry, value) for entry in sorted(_COUNTS) for value in (2.5, 3.0, "3", None)
+        (entry, value) for entry in sorted(_COUNTS)
+        for value in (2.5, 3.0, "3", None, True, False)
         if (entry, value) != ("solve_min_rounds", None)])  # None asks for the default, d
     def test_a_non_integer_is_a_value_error_naming_the_count(self, entry, value):
         name, call = _COUNTS[entry]
@@ -204,6 +225,29 @@ class TestCountContract:
             StochasticQuantizer(np.int64(0))
         with pytest.raises(ValueError, match=r"^solve_min_rounds must be >= 0, got -1$"):
             new_learner_state(3, np.int8(-1))
+
+
+# Each entry point that takes a real: the real's name in its errors and a call passing it v.
+_REALS = {
+    "LinUcb": ("ridge parameter", lambda v: LinUcb([[1.0]], lam=v)),
+    "misspecify_xstar": ("eps", lambda v: misspecify_xstar(
+        ActionMap([[1.0]], [[0.5]], "test"), v, np.random.default_rng(0))),
+    "TruncatedGaussian": ("sigma", lambda v: TruncatedGaussian(sigma=v)),
+    "BinarySupport": ("p_minus[1]", lambda v: BinarySupport(p_minus=(0.5, v))),
+    "GaussianProjected": ("scales[0]", lambda v: GaussianProjected(scales=(v, 0.5))),
+    "StochasticQuantizer.lower": ("lower", lambda v: StochasticQuantizer(2, lower=v, upper=3.0)),
+    "StochasticQuantizer.upper": ("upper", lambda v: StochasticQuantizer(2, upper=v)),
+}
+
+
+@pytest.mark.parametrize("entry, value", [
+    (entry, value) for entry in sorted(_REALS) for value in (True, False, np.True_)])
+def test_a_bool_is_no_real(entry, value):
+    """Each real an entry point takes refuses a bool by name, as a config leaf does."""
+    name, call = _REALS[entry]
+    message = f"{name} must be a number, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
 
 
 class TestRewardBit:

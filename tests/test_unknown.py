@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitbandit import codec, quantizer, unknown
 from bitbandit import env as environment
 from bitbandit.codec import bit_budget
 from bitbandit.env import (
@@ -236,6 +237,33 @@ class TestRunUnknown:
         first = trace.regret_at(1000)
         second = trace.total_regret - first
         assert second < 0.8 * first
+
+
+    def test_a_lattice_round_checks_each_count_once(self, monkeypatch):
+        """At most 6 _integer calls a lattice round: the reward bit, the frame's value
+        and length as encoded and as parsed, and decode_unknown's d.  A second check
+        of a count in a wire call would show here."""
+        spec = gaussian_spec(d=5, k=10, horizon=200)
+        simulate(spec, 0, lambda: spec.theta_star, lattice_channel, lambda *received: None)
+        calls, per_round = [], []  # the run above filled the per-dimension caches
+        integer = quantizer._integer
+
+        def counted(value, *args):
+            calls.append(value)
+            return integer(value, *args)
+
+        for module in (codec, quantizer, unknown):
+            monkeypatch.setattr(module, "_integer", counted)
+
+        def send(*args):
+            before = len(calls)
+            out = lattice_channel.send(*args)
+            per_round.append(len(calls) - before)
+            return out
+
+        simulate(spec, 1, lambda: spec.theta_star, lattice_channel._replace(send=send),
+                 lambda *received: None)
+        assert len(per_round) == 200 and max(per_round) <= 6
 
 
 class TestFullPrecision:
