@@ -97,30 +97,22 @@ class _Law:
 # A context law also answers, for dimension d:
 #   check(d, n_actions) -> problems with its per-action tables;
 #   sample(n, d, rng)   -> n context sets, shape (n, n_actions, d);
-#   rounds(c, d, rng)   -> c rounds' context sets and reward uniforms, see _ContextLaw;
+#   rounds(c, d, rng)   -> c rounds' context sets and reward uniforms, drawn in the
+#                          order of sample(1, d, rng) then random() each round;
 #   mean(action, d)     -> E[X_action];
 #   atom_count(d)       -> atoms in its largest per-action support, None if infinite;
 #   atoms(d)            -> per action, (vectors, probabilities) of its finite support.
 
-class _ContextLaw(_Law):
-    def rounds(self, c: int, d: int, rng: np.random.Generator):
-        """c rounds' context sets and reward uniforms, each round sample(1, d, rng), random()."""
-        sets, uniforms = zip(*[(self.sample(1, d, rng)[0], rng.random()) for _ in range(c)])
-        return np.array(sets), np.array(uniforms)
-
-
 @dataclass(frozen=True)
-class GaussianProjected(_ContextLaw):
+class GaussianProjected(_Law):
     """Per-action isotropic Gaussians, rescaled onto the unit ball when outside."""
 
     kind = "gaussian_projected"
     scales: tuple[float, ...]  # covariance scale c_a; X ~ N(0, c_a I) then projected
 
     def __post_init__(self):
-        if not all(0.0 <= _real(c, f"scales[{a}]") < math.inf
-                   for a, c in enumerate(self.scales)):
-            raise ValueError(f"covariance scales must be finite and nonnegative, "
-                             f"got {list(self.scales)}")
+        object.__setattr__(self, "scales", tuple(_real(c, f"scales[{a}]", 0.0)
+                                                 for a, c in enumerate(self.scales)))
         # per-action standard deviations, shaped to scale an (n, K, d) draw
         object.__setattr__(self, "_stds", np.sqrt(np.asarray(self.scales))[None, :, None])
 
@@ -151,7 +143,7 @@ class GaussianProjected(_ContextLaw):
 
 
 @dataclass(frozen=True)
-class BinarySupport(_ContextLaw):
+class BinarySupport(_Law):
     """Coordinates are +-1/sqrt(d) i.i.d.; p_minus[a] = P(coordinate = -1/sqrt(d)).
 
     At d=1 this is the two-point +-1 distribution.
@@ -161,8 +153,8 @@ class BinarySupport(_ContextLaw):
     p_minus: tuple[float, ...]
 
     def __post_init__(self):
-        if any(not 0.0 <= _real(p, f"p_minus[{a}]") <= 1.0 for a, p in enumerate(self.p_minus)):
-            raise ValueError("p_minus entries must lie in [0, 1]")
+        object.__setattr__(self, "p_minus", tuple(_real(p, f"p_minus[{a}]", 0.0, 1.0)
+                                                  for a, p in enumerate(self.p_minus)))
 
     def check(self, d: int, n_actions: int) -> list[str]:
         return [] if len(self.p_minus) == n_actions else ["one p_minus per action required"]
@@ -194,7 +186,7 @@ class BinarySupport(_ContextLaw):
 
 
 @dataclass(frozen=True)
-class CustomDiscrete(_ContextLaw):
+class CustomDiscrete(_Law):
     """Explicit finite support per action: supports[a] is (S_a, d), probs[a] sums to 1.
 
     Its config node lists the actions, each as ``{support: [...], probs: [...]}``.
@@ -248,6 +240,10 @@ class CustomDiscrete(_ContextLaw):
             out[:, a, :] = sup[rng.choice(sup.shape[0], size=n, p=p)]
         return out
 
+    def rounds(self, c: int, d: int, rng: np.random.Generator):
+        sets, uniforms = zip(*[(self.sample(1, d, rng)[0], rng.random()) for _ in range(c)])
+        return np.array(sets), np.array(uniforms)
+
     def mean(self, action: int, d: int) -> np.ndarray:
         sup, p = self.atoms(d)[action]
         return p @ sup
@@ -287,8 +283,7 @@ class TruncatedGaussian(_Law):
     sigma: float
 
     def __post_init__(self):
-        if not 0.0 <= _real(self.sigma, "sigma") < math.inf:
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        object.__setattr__(self, "sigma", _real(self.sigma, "sigma", 0.0))
 
     def reward(self, mu: float, u: float) -> float:
         w = min(mu, 1.0 - mu)

@@ -27,7 +27,7 @@ from .known import (
     run_naive_baseline,
     theta_net,
 )
-from .quantizer import _integer
+from .quantizer import _integer, _real
 from .unknown import run_full_precision, run_unknown
 
 __all__ = [
@@ -83,8 +83,8 @@ class ConfigValidationError(ValueError):
 
 @dataclass(frozen=True)
 class _Leaf:
-    """A scalar: a value of type ``cast`` (int, read by _integer, float or str) for
-    which ``ok`` holds; ``rule`` completes the problem "<key> must be <rule>"."""
+    """A scalar: a value of type ``cast`` (int, float or str, read as _LEAF_READERS
+    says) for which ``ok`` holds; ``rule`` completes the problem "<key> must be <rule>"."""
 
     cast: type
     ok: Callable[[object], bool]
@@ -158,6 +158,17 @@ _LAYOUT = {  # each top-level key of a config file and the layout _read reads it
 }
 
 
+def _string(value, name: str) -> str:
+    """``value`` if it is a str, else a ValueError naming it."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+# a scalar's type -> the rule that reads it; a number's is the one every call uses
+_LEAF_READERS = {int: _integer, float: _real, str: _string}
+
+
 @dataclass
 class ExperimentConfig:
     schema: int
@@ -169,7 +180,7 @@ class ExperimentConfig:
 
 def _read(value, shape, name: str, problems: list[str], where: str = ""):
     """``value`` laid out as ``shape``, or None after appending a problem for
-    every misfit.  A shape is ``float`` (a finite number), a _Leaf, ``[s]`` (a
+    every misfit.  A shape is ``float`` (a number), a _Leaf, ``[s]`` (a
     non-empty list of ``s``), ``{key: s}`` (a mapping with just those keys;
     ``where`` ends the problem naming any other), a _Kinds or ``(s, build)``:
     ``build`` of what ``s`` read, with a ValueError it raises a problem.  An
@@ -178,16 +189,14 @@ def _read(value, shape, name: str, problems: list[str], where: str = ""):
         if value is None:
             return shape.default
         shape = shape.metadata["layout"]
-    if shape is float:
-        return _coerce(value, float, name, problems)
-    if isinstance(shape, _Leaf):
+    if isinstance(shape, (type, _Leaf)):
+        cast = shape.cast if isinstance(shape, _Leaf) else shape
         try:
-            out = (_integer(value, name) if shape.cast is int
-                   else _coerce(value, shape.cast, name, problems))
-        except ValueError as exc:  # _integer's problem
+            out = _LEAF_READERS[cast](value, name)
+        except ValueError as exc:
             problems.append(str(exc))
             return None
-        if out is None or shape.ok(out):
+        if cast is shape or shape.ok(out):
             return out
         problems.append(f"{name} must be {shape.rule}, got {value!r}")
         return None
@@ -220,22 +229,6 @@ def _read(value, shape, name: str, problems: list[str], where: str = ""):
         out = {key: _read(value.get(key), s, f"{name}.{key}", problems)
                for key, s in shape.items()}
     return out if len(problems) == before else None
-
-
-def _coerce(value, cast, name: str, problems: list[str]):
-    """``value`` as a finite float or a str, or None after appending a problem; an
-    integer leaf is read by _integer instead."""
-    try:  # booleans, strings as numbers and non-finite numbers fail
-        out = (None if isinstance(value, bool) or isinstance(value, str) != (cast is str)
-               else cast(value))
-        if cast is float and not math.isfinite(out):
-            out = None
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None:
-        problems.append(f"{name} must be {'a number' if cast is float else 'a string'}, "
-                        f"got {value!r}")
-    return out
 
 
 def parse_config(raw: dict) -> ExperimentConfig:

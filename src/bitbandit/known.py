@@ -182,8 +182,7 @@ def build_action_map(spec: EnvironmentSpec, thetas, method: str = "auto",
 
 def misspecify_xstar(amap: ActionMap, eps: float, rng: np.random.Generator) -> ActionMap:
     """Displace every table entry by exactly eps in a random direction."""
-    if not 0.0 <= _real(eps, "eps") < math.inf:  # NaN fails too
-        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+    eps = _real(eps, "eps", 0.0)
     if eps == 0.0:
         return ActionMap(amap.thetas.copy(), amap.table.copy(), amap.provenance)
     dirs = rng.standard_normal(amap.table.shape)
@@ -246,9 +245,9 @@ class LinUcb:
             raise ValueError(f"need at least one action, got a menu of shape "
                              f"{self.actions.shape}")
         self.n, self.d = self.actions.shape
-        if not (math.isfinite(_real(lam, "ridge parameter")) and lam > 0):
-            raise ValueError(f"ridge parameter must be positive and finite, got {lam}")
-        self.lam = lam
+        self.lam = lam = _real(lam, "ridge parameter")
+        if lam <= 0.0:
+            raise ValueError(f"ridge parameter must be > 0, got {lam}")
         self._sqrt_lam = math.sqrt(lam)
         self._actions_t = np.ascontiguousarray(self.actions.T)
         # each row's x x^T as update() computes it, tabulated for a small menu only (a

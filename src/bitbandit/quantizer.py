@@ -20,6 +20,7 @@ both the vector and its elementwise square.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -61,12 +62,24 @@ def _integer(value, name: str, low: int | None = None) -> int:
     return value
 
 
-def _real(value, name: str):
-    """``value`` itself unless it is a bool, which is no number: a ValueError naming it.
-    The range checks of each real stay with the code that reads it."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return value
+def _real(value, name: str, low: float | None = None, high: float | None = None) -> float:
+    """``value`` as a finite Python float, within [low, high] where given: the one check
+    of a real, in configs and calls alike, raising a ValueError naming it.  A bool, a
+    string, None or anything else that is no numbers.Real (NumPy's bool is none), NaN,
+    +-inf and an int past the float range are no number."""
+    try:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError
+        out = float(value)
+        if not math.isfinite(out):
+            raise OverflowError
+    except (TypeError, OverflowError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if low is not None and out < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and out > high:
+        raise ValueError(f"{name} must be <= {high}, got {value}")
+    return out
 
 
 class QuantizationRangeError(ValueError):
@@ -87,10 +100,10 @@ class StochasticQuantizer:
 
     def __post_init__(self):
         object.__setattr__(self, "levels", _integer(self.levels, "levels", 1))
-        object.__setattr__(self, "lower", float(_real(self.lower, "lower")))
-        object.__setattr__(self, "upper", float(
-            self.levels if self.upper is None else _real(self.upper, "upper")))
-        if not self.upper > self.lower:
+        object.__setattr__(self, "lower", _real(self.lower, "lower"))
+        object.__setattr__(self, "upper", float(self.levels) if self.upper is None
+                           else _real(self.upper, "upper"))
+        if self.upper <= self.lower:
             raise ValueError(
                 f"empty quantizer range [{self.lower}, {self.upper}]"
             )

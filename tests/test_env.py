@@ -497,12 +497,12 @@ class TestTypedErrors:
 
     @pytest.mark.parametrize("scale", [-0.5, math.nan])
     def test_gaussian_scale_must_be_finite_and_nonnegative(self, scale):
-        with pytest.raises(ValueError, match="scales must be finite and nonnegative"):
+        with pytest.raises(ValueError, match=r"^scales\[1\] must be (>= 0.0|a number), got "):
             GaussianProjected(scales=(1.0, scale))
 
     @pytest.mark.parametrize("sigma", [-0.5, math.nan])
     def test_truncated_gaussian_sigma_must_be_finite_and_nonnegative(self, sigma):
-        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+        with pytest.raises(ValueError, match="^sigma must be (>= 0.0|a number), got "):
             TruncatedGaussian(sigma=sigma)
 
     @pytest.mark.parametrize("sigma, mu", [(0.0, 0.3), (0.2, 0.0), (0.2, 1.0)])

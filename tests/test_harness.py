@@ -29,7 +29,7 @@ from bitbandit.harness import (
     seed_figures,
     summarize,
 )
-from bitbandit.quantizer import _integer
+from bitbandit.quantizer import _integer, _real
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -182,6 +182,36 @@ class TestConfigParsing:
             parse_config(config(value))
         assert exc.value.problems == [str(call.value)]
 
+    @pytest.mark.parametrize("value", [True, "1", float("nan")])
+    @pytest.mark.parametrize("key, config", [
+        ("environment.theta_star[0]", lambda v: make_config(environment__theta_star=[v])),
+        ("algorithm.theta_grid[0][0]", lambda v: make_config(
+            algorithm__theta_grid=[[v], [1.0]])),
+        ("environment.context_model.scales[0]", lambda v: make_config(
+            environment__context_model={"kind": "gaussian_projected", "scales": [v, 1.0]})),
+        ("environment.context_model.p_minus[0]", lambda v: make_config(
+            environment__context_model={"kind": "binary_support", "p_minus": [v, 0.5]})),
+        ("environment.noise_model.sigma", lambda v: make_config(
+            environment__noise_model={"kind": "truncated_gaussian", "sigma": v})),
+        ("environment.context_model.actions[0].support[1][0]", lambda v: make_config(
+            environment__context_model={"kind": "custom", "actions": [
+                {"support": [[1.0], [v]], "probs": [0.25, 0.75]},
+                {"support": [[0.2]], "probs": [1.0]}]})),
+        ("environment.context_model.actions[1].probs[0]", lambda v: make_config(
+            environment__context_model={"kind": "custom", "actions": [
+                {"support": [[1.0]], "probs": [1.0]}, {"support": [[0.2]], "probs": [v]}]})),
+        ("algorithm.misspec_epsilon", lambda v: make_config(algorithm__misspec_epsilon=v)),
+        ("algorithm.ridge", lambda v: make_config(algorithm__ridge=v)),
+    ])
+    def test_a_real_key_refuses_what_a_call_refuses(self, key, config, value):
+        """Every number leaf is read by _real: a bool, a string and NaN are refused
+        with the message a call gives."""
+        with pytest.raises(ValueError) as call:
+            _real(value, key)
+        with pytest.raises(ConfigValidationError) as exc:
+            parse_config(config(value))
+        assert exc.value.problems == [str(call.value)]
+
     @pytest.mark.parametrize("overrides, fragment", [
         ({"algorithm__theta_grid": [[1.0, 0.0]]}, "length d=1"),
         ({"algorithm__theta_grid": [[1.0], [1.0, 0.0]]}, "length d=1"),
@@ -205,7 +235,7 @@ class TestConfigParsing:
         ({"seeds": []}, "seeds must be a non-empty list"),
         ({"environment__theta_star": [1.5]}, "exceeds 1"),
         ({"environment__context_model": {"kind": "binary_support", "p_minus": [1.5, 0.5]}},
-         "p_minus entries must lie in"),
+         "must be <= 1.0, got 1.5"),
         ({"environment__actions": 3}, "one p_minus per action required"),
         ({"environment__d": 2, "environment__theta_star": [0.5, 0.5],
           "environment__context_model": {"kind": "gaussian_projected", "scales": [1.0, 1.0]},

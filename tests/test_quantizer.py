@@ -240,14 +240,33 @@ _REALS = {
 }
 
 
+_NON_NUMBERS = (True, False, np.True_, "1", None, math.nan, math.inf, -math.inf, 10 ** 400,
+                [1.0])
+
+
 @pytest.mark.parametrize("entry, value", [
-    (entry, value) for entry in sorted(_REALS) for value in (True, False, np.True_)])
-def test_a_bool_is_no_real(entry, value):
-    """Each real an entry point takes refuses a bool by name, as a config leaf does."""
+    (entry, value) for entry in sorted(_REALS) for value in _NON_NUMBERS
+    # upper=None is the default, the grid 0..levels (test_default_range_is_zero_to_levels)
+    if (entry, value) != ("StochasticQuantizer.upper", None)])
+def test_a_non_number_is_no_real(entry, value):
+    """Each real an entry point takes refuses a bool, a string, None, a non-finite
+    number, an int past the float range and a list by name, as a config leaf does."""
     name, call = _REALS[entry]
     message = f"{name} must be a number, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+@pytest.mark.parametrize("entry, value, message", [
+    ("GaussianProjected", -0.5, "scales[0] must be >= 0.0, got -0.5"),
+    ("BinarySupport", 1.5, "p_minus[1] must be <= 1.0, got 1.5"),
+    ("TruncatedGaussian", -0.5, "sigma must be >= 0.0, got -0.5"),
+    ("misspecify_xstar", -0.1, "eps must be >= 0.0, got -0.1"),
+    ("LinUcb", 0.0, "ridge parameter must be > 0, got 0.0"),
+])
+def test_a_real_outside_its_bound_is_refused_by_name(entry, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _REALS[entry][1](value)
 
 
 class TestRewardBit:
