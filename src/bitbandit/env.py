@@ -83,8 +83,7 @@ class _Law:
     @classmethod
     def from_node(cls, node: dict):
         """The law of a node whose values are already laid out as node_shape()."""
-        return cls(**{name: value if isinstance(value, float) else tuple(value)
-                      for name, value in node.items()})
+        return cls(**node)
 
     def to_node(self) -> dict:
         node = {"kind": self.kind}
@@ -200,9 +199,11 @@ class CustomDiscrete(_Law):
         if len(self.supports) != len(self.probs):
             raise ValueError(f"one probs table per support table required, got "
                              f"{len(self.probs)} for {len(self.supports)}")
+        # the tables as float arrays, converted once: every other method reads them so
+        for name in ("supports", "probs"):
+            object.__setattr__(self, name, tuple(np.asarray(t, dtype=float)
+                                                 for t in getattr(self, name)))
         for a, (sup, p) in enumerate(zip(self.supports, self.probs)):
-            sup = np.asarray(sup, dtype=float)
-            p = np.asarray(p, dtype=float)
             if sup.ndim != 2 or sup.shape[0] != p.size:
                 raise ValueError(f"action {a}: support/probs shape mismatch")
             if not (np.all(np.isfinite(sup)) and np.all(np.isfinite(p))):
@@ -219,24 +220,21 @@ class CustomDiscrete(_Law):
     @classmethod
     def from_node(cls, node: dict) -> "CustomDiscrete":
         actions = node["actions"]
-        return cls(supports=tuple(np.asarray(a["support"], dtype=float) for a in actions),
-                   probs=tuple(np.asarray(a["probs"], dtype=float) for a in actions))
+        return cls(supports=[a["support"] for a in actions], probs=[a["probs"] for a in actions])
 
     def to_node(self) -> dict:
-        return {"kind": self.kind, "actions": [
-            {"support": np.asarray(sup, dtype=float).tolist(),
-             "probs": np.asarray(p, dtype=float).tolist()}
-            for sup, p in zip(self.supports, self.probs)]}
+        return {"kind": self.kind, "actions": [{"support": sup.tolist(), "probs": p.tolist()}
+                                               for sup, p in zip(self.supports, self.probs)]}
 
     def check(self, d: int, n_actions: int) -> list[str]:
         if len(self.supports) != n_actions:
             return ["one support table per action required"]
         return [f"action {a}: support dimension != d"
-                for a, sup in enumerate(self.supports) if np.asarray(sup).shape[1] != d]
+                for a, sup in enumerate(self.supports) if sup.shape[1] != d]
 
     def sample(self, n: int, d: int, rng: np.random.Generator) -> np.ndarray:
         out = np.empty((n, len(self.supports), d))
-        for a, (sup, p) in enumerate(self.atoms(d)):
+        for a, (sup, p) in enumerate(zip(self.supports, self.probs)):
             out[:, a, :] = sup[rng.choice(sup.shape[0], size=n, p=p)]
         return out
 
@@ -245,15 +243,13 @@ class CustomDiscrete(_Law):
         return np.array(sets), np.array(uniforms)
 
     def mean(self, action: int, d: int) -> np.ndarray:
-        sup, p = self.atoms(d)[action]
-        return p @ sup
+        return self.probs[action] @ self.supports[action]
 
     def atom_count(self, d: int) -> int:
         return max(len(p) for p in self.probs)
 
     def atoms(self, d) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(np.asarray(sup, dtype=float), np.asarray(p, dtype=float))
-                for sup, p in zip(self.supports, self.probs)]
+        return list(zip(self.supports, self.probs))
 
 
 # A reward law answers reward(mu, u): the reward of mean mu that one uniform u in
@@ -303,7 +299,7 @@ NOISE_LAWS = {law.kind: law for law in (Bernoulli, TruncatedGaussian)}
 # environment spec
 # --------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class EnvironmentSpec:
     """Immutable description of one simulated bandit environment; its counts are
     stored as the Python ints _integer gives."""
@@ -316,12 +312,12 @@ class EnvironmentSpec:
     horizon: int
 
     def __post_init__(self):
-        self.theta_star = np.asarray(self.theta_star, dtype=float)
+        object.__setattr__(self, "theta_star", np.asarray(self.theta_star, dtype=float))
         problems = self.validate()
         if problems:
             raise ValueError("invalid environment spec: " + "; ".join(problems))
-        self.d, self.n_actions, self.horizon = map(operator.index,
-                                                   (self.d, self.n_actions, self.horizon))
+        for name in ("d", "n_actions", "horizon"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
 
     def validate(self) -> list[str]:
         """Return a list of every constraint violation (empty when valid)."""
@@ -335,19 +331,15 @@ class EnvironmentSpec:
             except ValueError as exc:
                 problems.append(str(exc))
         if self.theta_star.shape != (self.d,):
-            problems.append(
-                f"theta_star shape {self.theta_star.shape} does not match d={self.d}"
-            )
+            problems.append(f"theta_star shape {self.theta_star.shape} does not match d={self.d}")
         elif not np.all(np.isfinite(self.theta_star)):
             problems.append(f"theta_star entries must be finite, got {self.theta_star.tolist()}")
         # the peak first, before a norm can overflow; an empty theta* (d = 0) has none
         elif (self.theta_star.size
               and (peak := np.abs(self.theta_star).max()) > 1.0 + _BOUNDARY_TOL):
             problems.append(f"||theta_star|| exceeds 1: an entry has magnitude {peak:.6g}")
-        elif np.linalg.norm(self.theta_star) > 1.0 + _BOUNDARY_TOL:
-            problems.append(
-                f"||theta_star|| = {np.linalg.norm(self.theta_star):.6g} exceeds 1"
-            )
+        elif (norm := np.linalg.norm(self.theta_star)) > 1.0 + _BOUNDARY_TOL:
+            problems.append(f"||theta_star|| = {norm:.6g} exceeds 1")
         return problems + self.context_model.check(self.d, self.n_actions)
 
     def digest(self) -> str:
@@ -417,10 +409,13 @@ def mean_reward(spec: EnvironmentSpec, x: np.ndarray) -> float:
 
 
 def _mapped_mean(score: float) -> float:
-    """(score + 1) / 2 of a play's score <x, theta*>, which must lie in [-1, 1]."""
-    if abs(score) > 1.0 + _BOUNDARY_TOL:
-        raise AssumptionViolation(f"|<x, theta*>| = {abs(score)} exceeds 1")
-    return min(max((score + 1.0) / 2.0, 0.0), 1.0)
+    """(score + 1) / 2 of a play's score <x, theta*>, which must be a number in [-1, 1]."""
+    try:
+        if abs(score) <= 1.0 + _BOUNDARY_TOL:  # NaN fails too, and a non-number raises
+            return min(max((score + 1.0) / 2.0, 0.0), 1.0)
+    except TypeError:
+        pass
+    raise AssumptionViolation(f"<x, theta*> must be a number in [-1, 1], got {score!r}")
 
 
 def realize_reward(spec: EnvironmentSpec, x: np.ndarray, rng: np.random.Generator) -> float:

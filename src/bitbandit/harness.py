@@ -171,11 +171,38 @@ _LEAF_READERS = {int: _integer, float: _real, str: _string}
 
 @dataclass
 class ExperimentConfig:
+    """A config, checked by _joint_problems whether parse_config or a caller builds it."""
+
     schema: int
     spec: EnvironmentSpec
     algorithm: AlgorithmConfig
     seeds: list[int]
     output_dir: str
+
+    def __post_init__(self):
+        if problems := _joint_problems(self.spec, self.algorithm, self.seeds):
+            raise ConfigValidationError(problems)
+
+
+def _joint_problems(spec, algo, seeds) -> list[str]:
+    """The rules that tie a config's sections together; a section that did not read is None."""
+    problems = []
+    if algo is not None and algo.kind not in _RUNS:
+        problems.append(f"algorithm.kind must be one of {'/'.join(_RUNS)}, got {algo.kind!r}")
+    if algo is not None and algo.kind == "known":
+        if (algo.theta_grid is None) == (algo.net_points is None):
+            problems.append("known-dist learner needs exactly one of theta_grid or net_points")
+        if spec is not None and algo.theta_grid is not None:
+            lengths = sorted({len(row) for row in algo.theta_grid})
+            if lengths != [spec.d]:
+                problems.append(f"algorithm.theta_grid rows must have length d={spec.d}, "
+                                f"got row lengths {lengths}")
+        obstacle = spec is not None and algo.xstar_method == "exact" and exact_xstar_obstacle(spec)
+        if obstacle:
+            problems.append(f"xstar_method 'exact' is unavailable: {obstacle}")
+    if seeds is not None and len(set(seeds)) != len(seeds):
+        problems.append("seeds entries must be distinct")
+    return problems
 
 
 def _read(value, shape, name: str, problems: list[str], where: str = ""):
@@ -241,22 +268,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     problems = [f"config: unknown key {key!r}" for key in raw if key not in _LAYOUT]
     node = {key: _read(raw.get(key), shape, key, problems) for key, shape in _LAYOUT.items()}
     spec, algo, seeds = node["environment"], node["algorithm"], node["seeds"]
-    if algo is not None and algo.kind == "known":
-        if (algo.theta_grid is None) == (algo.net_points is None):
-            problems.append("known-dist learner needs exactly one of theta_grid or net_points")
-        if spec is not None and algo.theta_grid is not None:
-            lengths = sorted({len(row) for row in algo.theta_grid})
-            if lengths != [spec.d]:
-                problems.append(f"algorithm.theta_grid rows must have length d={spec.d}, "
-                                f"got row lengths {lengths}")
-        if spec is not None and algo.xstar_method == "exact":
-            obstacle = exact_xstar_obstacle(spec)
-            if obstacle:
-                problems.append(f"xstar_method 'exact' is unavailable: {obstacle}")
-    if seeds is not None and len(set(seeds)) != len(seeds):
-        problems.append("seeds entries must be distinct")
-    if problems:
-        raise ConfigValidationError(problems)
+    if problems:  # the joint rules on the sections that did read, as ExperimentConfig runs them
+        raise ConfigValidationError(problems + _joint_problems(spec, algo, seeds))
     return ExperimentConfig(schema=SCHEMA_VERSION, spec=spec, algorithm=algo, seeds=seeds,
                             output_dir=node["output_dir"])
 
@@ -310,9 +323,9 @@ class ExperimentResult:
 def build_known_action_map(cfg: ExperimentConfig):
     """Exact (unperturbed) action map for the known-dist learner over its theta_grid or net."""
     algo = cfg.algorithm
-    return build_action_map(cfg.spec, algo.theta_grid or theta_net(cfg.spec.d, algo.net_points),
-                            method=algo.xstar_method, n_samples=algo.xstar_samples,
-                            rng=np.random.default_rng(algo.xstar_seed))
+    grid = theta_net(cfg.spec.d, algo.net_points) if algo.theta_grid is None else algo.theta_grid
+    return build_action_map(cfg.spec, grid, algo.xstar_method, algo.xstar_samples,
+                            np.random.default_rng(algo.xstar_seed))
 
 
 def _misspecify_for_seed(cfg: ExperimentConfig, seed: int, amap):

@@ -76,12 +76,6 @@ def exact_xstar_obstacle(spec: EnvironmentSpec) -> str | None:
     return None
 
 
-def _finite_supports(spec: EnvironmentSpec):
-    """Per-action (vectors, probs) of a finite context law, or None when
-    exact_xstar_obstacle names a reason there are none."""
-    return None if exact_xstar_obstacle(spec) else spec.context_model.atoms(spec.d)
-
-
 def _xstar_row(supports, theta: np.ndarray) -> np.ndarray:
     """E[greedy-played context] by order statistics, in O(K^2 S log S):
 
@@ -104,43 +98,6 @@ def _xstar_row(supports, theta: np.ndarray) -> np.ndarray:
                 weight *= cdf_b[np.searchsorted(s_b, s_a, side="left" if b < a else "right")]
         acc += weight @ vecs[order]
     return acc
-
-
-def _theta_of(spec: EnvironmentSpec, theta) -> np.ndarray:
-    """theta as a float array of length d; another length is a ValueError."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (spec.d,):
-        raise ValueError(f"theta must have length d={spec.d}, got shape {theta.shape}")
-    return theta
-
-
-def exact_xstar(spec: EnvironmentSpec, theta: np.ndarray) -> np.ndarray | None:
-    """E[greedy-played context], exactly, for a finite context law.
-
-    Returns None when exact_xstar_obstacle names a reason it is unavailable,
-    in which case a Monte-Carlo estimate must be used.
-    """
-    theta = _theta_of(spec, theta)
-    supports = _finite_supports(spec)
-    if supports is None:
-        return None
-    return _xstar_row(supports, theta)
-
-
-def estimate_xstar(spec: EnvironmentSpec, theta: np.ndarray, n_samples: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Monte-Carlo estimate of E[greedy-played context] from n_samples draws."""
-    n_samples = _integer(n_samples, "n_samples", 1)
-    theta = _theta_of(spec, theta)
-    acc = np.zeros(spec.d)
-    left = n_samples
-    while left > 0:
-        n = min(left, _XSTAR_CHUNK)
-        ctx = environment.sample_contexts(spec, n, rng)  # (n, K, d)
-        picks = np.vecdot(ctx, theta).argmax(axis=1)
-        acc += ctx[np.arange(n), picks].sum(axis=0)
-        left -= n
-    return acc / n_samples
 
 
 @dataclass
@@ -168,23 +125,42 @@ def build_action_map(spec: EnvironmentSpec, thetas, method: str = "auto",
         raise ValueError(f"theta rows must have length d={spec.d}, got shape {thetas.shape}")
     if method not in ("auto", "exact", "monte-carlo"):
         raise ValueError(f"unknown xstar method {method!r}")
-    supports = None if method == "monte-carlo" else _finite_supports(spec)
-    if supports is not None:  # the atoms are built once for the whole grid
+    obstacle = exact_xstar_obstacle(spec)
+    if method != "monte-carlo" and obstacle is None:
+        supports = spec.context_model.atoms(spec.d)  # built once for the whole grid
         table = [_xstar_row(supports, theta) for theta in thetas]
         return ActionMap(thetas, np.array(table), "exact-enumeration")
     if method == "exact":
-        raise ValueError(f"exact xstar unavailable: {exact_xstar_obstacle(spec)}")
+        raise ValueError(f"exact xstar unavailable: {obstacle}")
     if rng is None:
         raise ValueError("Monte-Carlo xstar needs an rng")
-    table = [estimate_xstar(spec, theta, n_samples, rng) for theta in thetas]
-    return ActionMap(thetas, np.array(table), f"monte-carlo(n={n_samples})")
+    n_samples = _integer(n_samples, "n_samples", 1)
+    table = np.zeros(thetas.shape)
+    for acc, theta in zip(table, thetas):  # each row's draws in chunks, row after row
+        for done in range(0, n_samples, _XSTAR_CHUNK):
+            n = min(_XSTAR_CHUNK, n_samples - done)
+            ctx = environment.sample_contexts(spec, n, rng)  # (n, K, d)
+            picks = np.vecdot(ctx, theta).argmax(axis=1)
+            acc += ctx[np.arange(n), picks].sum(axis=0)
+    return ActionMap(thetas, table / n_samples, f"monte-carlo(n={n_samples})")
+
+
+def exact_xstar(spec: EnvironmentSpec, theta: np.ndarray) -> np.ndarray | None:
+    """E[greedy-played context], exactly: build_action_map's row for theta, or None
+    when exact_xstar_obstacle names a reason and a Monte-Carlo estimate must be used."""
+    return None if exact_xstar_obstacle(spec) else build_action_map(spec, [theta], "exact").table[0]
+
+
+def estimate_xstar(spec: EnvironmentSpec, theta: np.ndarray, n_samples: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Monte-Carlo estimate of E[greedy-played context] from n_samples draws:
+    build_action_map's Monte-Carlo row for theta."""
+    return build_action_map(spec, [theta], "monte-carlo", n_samples, rng).table[0]
 
 
 def misspecify_xstar(amap: ActionMap, eps: float, rng: np.random.Generator) -> ActionMap:
     """Displace every table entry by exactly eps in a random direction."""
     eps = _real(eps, "eps", 0.0)
-    if eps == 0.0:
-        return ActionMap(amap.thetas.copy(), amap.table.copy(), amap.provenance)
     dirs = rng.standard_normal(amap.table.shape)
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return ActionMap(
@@ -297,8 +273,11 @@ class LinUcb:
         """Feed back the reward observed for the last selected index."""
         if self._pending is None:
             raise RuntimeError("select() must be called before update()")
-        if not math.isfinite(reward):
-            raise ValueError(f"reward must be finite, got {reward}")
+        try:
+            if not math.isfinite(reward):
+                raise TypeError
+        except TypeError:  # NaN, +-inf or a non-number
+            raise ValueError(f"reward must be a number, got {reward!r}") from None
         x = self.actions[self._pending]
         self.V += x[:, None] * x if self._outer is None else self._outer[self._pending]
         self.b += reward * x
@@ -397,12 +376,17 @@ def simulate(spec: EnvironmentSpec, seed: int, broadcast, channel: Channel, lear
     return trace
 
 
+def _run_menu(spec: EnvironmentSpec, seed: int, actions, menu, lam: float) -> RegretTrace:
+    """LinUCB over ``actions``, its index broadcast as a ``menu`` entry: signed reward 2r - 1."""
+    policy = LinUcb(actions, lam=lam)
+    return simulate(spec, seed, policy.select, one_bit_channel,
+                    lambda bit: policy.update(2.0 * bit - 1.0), menu=menu)
+
+
 def run_known(spec: EnvironmentSpec, amap: ActionMap, seed: int,
               lam: float = 1.0) -> RegretTrace:
     """Simulate the known-distribution pair: LinUCB over the menu, signed reward 2r - 1."""
-    policy = LinUcb(amap.table, lam=lam)
-    return simulate(spec, seed, policy.select, one_bit_channel,
-                    lambda bit: policy.update(2.0 * bit - 1.0), menu=amap.thetas)
+    return _run_menu(spec, seed, amap.table, amap.thetas, lam)
 
 
 def run_naive_baseline(spec: EnvironmentSpec, seed: int, lam: float = 1.0) -> RegretTrace:
@@ -412,8 +396,5 @@ def run_naive_baseline(spec: EnvironmentSpec, seed: int, lam: float = 1.0) -> Re
     contexts never influence the choice -- the strawman that motivates
     conditioning on the context distribution.
     """
-    means = np.array([environment.context_mean(spec, a) for a in range(spec.n_actions)])
-    policy = LinUcb(means, lam=lam)
-    return simulate(spec, seed, policy.select, one_bit_channel,
-                    lambda bit: policy.update(2.0 * bit - 1.0),
-                    menu=range(spec.n_actions))
+    means = [environment.context_mean(spec, a) for a in range(spec.n_actions)]
+    return _run_menu(spec, seed, means, range(spec.n_actions), lam)

@@ -147,9 +147,12 @@ def reward_bit(r: float, u: float) -> int:
     """A reward r in [0, 1] rounded to one bit by the uniform u: 1 with probability r.
     It is StochasticQuantizer(1, 0.0, 1.0).encode(r, rng) for an rng that draws u,
     its range check included."""
-    if not -_BOUNDARY_TOL <= r <= 1.0 + _BOUNDARY_TOL:  # NaN fails too
-        raise QuantizationRangeError(f"input {r} outside [0.0, 1.0]")
-    return int(u < r)
+    try:
+        if -_BOUNDARY_TOL <= r <= 1.0 + _BOUNDARY_TOL:  # NaN fails too
+            return int(u < r)
+    except TypeError:  # r or u is no number: _real names u if u is
+        _real(u, "u")
+    raise QuantizationRangeError(f"input {r} outside [0.0, 1.0]")
 
 
 def _round(scaled: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

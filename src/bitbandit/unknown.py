@@ -21,6 +21,7 @@ it on a sequence of played contexts.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,10 +100,16 @@ def apply_update(state: UnknownLearnerState, reward_bit: float, xhat: np.ndarray
     So singular and nearly singular systems, such as those of early rounds,
     still get the minimum-norm least-squares solution.
     """
+    try:
+        signed = 2.0 * reward_bit - 1.0
+        if not math.isfinite(signed):
+            raise TypeError
+    except TypeError:  # NaN, +-inf or a non-number
+        raise ValueError(f"reward must be a number, got {reward_bit!r}") from None
     outer = xhat[:, None] * xhat  # np.outer's own product
     outer.reshape(-1)[::xhat.size + 1] = xsq_hat  # the diagonal, as np.fill_diagonal writes it
     state.v_tilde += outer
-    state.rhs[:, 0] += (2.0 * reward_bit - 1.0) * xhat
+    state.rhs[:, 0] += signed * xhat
     state.t += 1
     if state.t >= state.solve_min_rounds:
         theta = _lu_solve(state.v_tilde, state.rhs, state.probe_l1)

@@ -1,6 +1,7 @@
 """Tests for environment specs, context/noise models, and regret traces."""
 
 import csv
+import dataclasses
 import io
 import math
 import re
@@ -51,6 +52,15 @@ class TestEnvironmentSpec:
     def test_valid_spec_constructs(self):
         spec = binary_spec()
         assert spec.validate() == []
+
+    def test_a_spec_is_frozen(self):
+        """A field set after the checks would skip them; dataclasses.replace re-runs them."""
+        spec = binary_spec()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.horizon = 0
+        with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+            dataclasses.replace(spec, horizon=0)
+        assert spec.horizon == 100
 
     def test_all_violations_reported(self):
         with pytest.raises(ValueError) as exc:
@@ -134,6 +144,20 @@ class TestEnvironmentSpec:
 
 
 class TestContextModels:
+    def test_a_custom_law_converts_its_tables_once(self):
+        """Tables given as int lists are stored as float arrays, and atoms, mean and
+        the config node read those same arrays on every call."""
+        law = CustomDiscrete(supports=([[1, 0], [0, -1]], [[0, 1]]), probs=([1, 0], [1]))
+        for tables in (law.supports, law.probs):
+            assert all(t.dtype == np.float64 for t in tables)
+        atoms = law.atoms(2)
+        for (sup, p), again, stored in zip(atoms, law.atoms(2), zip(law.supports, law.probs)):
+            assert sup.dtype == p.dtype == np.float64
+            assert again[0] is sup is stored[0] and again[1] is p is stored[1]
+        assert law.mean(0, 2).tolist() == [1.0, 0.0]
+        assert law.to_node()["actions"][0] == {"support": [[1.0, 0.0], [0.0, -1.0]],
+                                               "probs": [1.0, 0.0]}
+
     def test_gaussian_projected_norms(self):
         spec = EnvironmentSpec(
             d=3, n_actions=4, theta_star=np.full(3, 1 / math.sqrt(3)),

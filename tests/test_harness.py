@@ -1,6 +1,7 @@
 """Tests for config parsing, the experiment runner, summaries, and the CLI."""
 
 import copy
+import dataclasses
 import hashlib
 import re
 import tracemalloc
@@ -17,6 +18,7 @@ from bitbandit.harness import (
     _NET_POINTS_LIMIT,
     _ROUNDS_LIMIT,
     _XSTAR_SAMPLES_LIMIT,
+    AlgorithmConfig,
     ConfigValidationError,
     SeedFigures,
     config_to_dict,
@@ -94,6 +96,33 @@ class TestConfigParsing:
         assert len(exc.value.problems) >= 4
         for fragment in ("schema", "mystery", "seeds", "output_dir"):
             assert fragment in text
+
+    @pytest.mark.parametrize("change, overrides", [
+        ({"seeds": [1, 1]}, {"seeds": [1, 1]}),
+        ({"algorithm": AlgorithmConfig("known", theta_grid=[[-1.0], [1.0]], net_points=7)},
+         {"algorithm__net_points": 7}),
+        ({"algorithm": AlgorithmConfig("known", theta_grid=[[1.0, 0.0]])},
+         {"algorithm__theta_grid": [[1.0, 0.0]]}),
+        ({"algorithm": AlgorithmConfig("bogus")}, {"algorithm": {"kind": "bogus"}}),
+    ])
+    def test_a_config_made_in_code_is_checked_like_the_same_yaml(self, change, overrides):
+        cfg = parse_config(make_config())
+        with pytest.raises(ConfigValidationError) as made:
+            dataclasses.replace(cfg, **change)
+        with pytest.raises(ConfigValidationError) as parsed:
+            parse_config(make_config(**overrides))
+        assert made.value.problems == parsed.value.problems
+
+    def test_an_empty_grid_in_code_is_no_grid(self):
+        """A grid is picked by ``is None``, so an empty one is refused, not replaced by
+        the net (a config file cannot give one: its list must be non-empty)."""
+        cfg = parse_config(make_config())
+        with pytest.raises(ConfigValidationError) as exc:
+            dataclasses.replace(cfg, algorithm=AlgorithmConfig("known", theta_grid=[],
+                                                               net_points=3))
+        assert exc.value.problems == [
+            "known-dist learner needs exactly one of theta_grid or net_points",
+            "algorithm.theta_grid rows must have length d=1, got row lengths []"]
 
     def test_empty_yaml_is_not_a_mapping(self, tmp_path):
         path = tmp_path / "empty.yaml"

@@ -274,8 +274,36 @@ class TestActionMap:
                                noise_model=Bernoulli(), horizon=10)
         with pytest.raises(ValueError, match=r"length d=3, got shape \(4, 2\)"):
             build_action_map(spec, np.zeros((4, 2)))
-        with pytest.raises(ValueError, match=r"length d=3, got shape \(2,\)"):
+        with pytest.raises(ValueError, match=r"length d=3, got shape \(1, 2\)"):
             exact_xstar(spec, np.zeros(2))
+
+    @pytest.mark.parametrize("law", [
+        BinarySupport(p_minus=(0.3, 0.6)),
+        CustomDiscrete(supports=([[0.6, -0.8], [0.0, 0.5]], [[-0.3, 0.4]]),
+                       probs=([0.25, 0.75], [1.0])),
+    ])
+    def test_a_one_row_call_is_the_builders_row(self, law):
+        """exact_xstar and estimate_xstar are build_action_map's one-row case: the same
+        bits, from equal seeds for Monte-Carlo, and the same refusal of a bad call."""
+        spec = EnvironmentSpec(d=2, n_actions=2, theta_star=np.array([0.6, 0.0]),
+                               context_model=law, noise_model=Bernoulli(), horizon=10)
+        theta = np.array([0.6, -0.8])
+        assert (exact_xstar(spec, theta).tobytes()
+                == build_action_map(spec, [theta], "exact").table[0].tobytes())
+        assert (estimate_xstar(spec, theta, 30_000, np.random.default_rng(5)).tobytes()
+                == build_action_map(spec, [theta], "monte-carlo", 30_000,
+                                    np.random.default_rng(5)).table[0].tobytes())
+        for one_row, table in [
+            (lambda: exact_xstar(spec, np.zeros(3)),
+             lambda: build_action_map(spec, [np.zeros(3)], "exact")),
+            (lambda: estimate_xstar(spec, theta, 100, None),
+             lambda: build_action_map(spec, [theta], "monte-carlo", 100, None)),
+        ]:
+            with pytest.raises(ValueError) as row_error:
+                one_row()
+            with pytest.raises(ValueError) as table_error:
+                table()
+            assert str(row_error.value) == str(table_error.value)
 
     def test_misspecify_rejects_negative_eps(self):
         spec = two_action_binary(0.25, 0.5)

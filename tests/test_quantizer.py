@@ -1,5 +1,6 @@
 """Tests for the stochastic scalar quantizer and the context quantizer."""
 
+import dataclasses
 import math
 import re
 
@@ -17,6 +18,8 @@ from bitbandit.env import (
     GaussianProjected,
     RegretTrace,
     TruncatedGaussian,
+    mean_reward,
+    reward_of,
 )
 from bitbandit.known import (
     ActionMap,
@@ -267,6 +270,50 @@ def test_a_non_number_is_no_real(entry, value):
 def test_a_real_outside_its_bound_is_refused_by_name(entry, value, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _REALS[entry][1](value)
+
+
+def _linucb_update(v):
+    policy = LinUcb([[1.0]])
+    policy.select()
+    policy.update(v)
+
+
+_ONE_D_GAUSSIAN_NOISE = dataclasses.replace(_ONE_D, noise_model=TruncatedGaussian(sigma=0.1))
+
+# Each per-round call that takes a real: the error a non-number or NaN raises, its
+# message with the value left to fill in, and a call passing it v.  apply_update's
+# refusal is in tests/test_unknown.py, beside the state it must leave unchanged.
+_PER_ROUND = {
+    "LinUcb.update": (ValueError, "reward must be a number, got {!r}", _linucb_update),
+    "reward_bit.r": (QuantizationRangeError, "input {} outside [0.0, 1.0]",
+                     lambda v: reward_bit(v, 0.5)),
+    "reward_bit.u": (ValueError, "u must be a number, got {!r}", lambda v: reward_bit(0.5, v)),
+    "reward_of.bernoulli": (AssumptionViolation,
+                            "<x, theta*> must be a number in [-1, 1], got {!r}",
+                            lambda v: reward_of(_ONE_D, v, 0.3)),
+    "reward_of.truncated_gaussian": (AssumptionViolation,
+                                     "<x, theta*> must be a number in [-1, 1], got {!r}",
+                                     lambda v: reward_of(_ONE_D_GAUSSIAN_NOISE, v, 0.3)),
+    "mean_reward": (AssumptionViolation, "<x, theta*> must be a number in [-1, 1], got {!r}",
+                    lambda v: mean_reward(_ONE_D, np.array([v]))),
+}
+
+
+# mean_reward takes a vector, whose non-numbers fail in np.dot before there is a score;
+# reward_bit refused a NaN reward already, and it compares a uniform without a range check
+_NOT_CHECKED_HERE = {("mean_reward", "'x'"), ("mean_reward", "None"), ("reward_bit.r", "nan"),
+                  ("reward_bit.u", "nan")}
+
+
+@pytest.mark.parametrize("entry, value", [
+    (entry, value) for entry in sorted(_PER_ROUND) for value in ("x", None, math.nan)
+    if (entry, repr(value)) not in _NOT_CHECKED_HERE])
+def test_a_per_round_call_refuses_a_non_number_by_name(entry, value):
+    """A string, None or NaN where a round wants a number is a typed error naming it,
+    never a bare TypeError or a silent reward."""
+    error, message, call = _PER_ROUND[entry]
+    with pytest.raises(error, match=f"^{re.escape(message.format(value))}$"):
+        call(value)
 
 
 class TestRewardBit:

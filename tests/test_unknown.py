@@ -78,6 +78,14 @@ class TestLearnerState:
         np.testing.assert_allclose(state.v_tilde, 2 * expected)
         np.testing.assert_allclose(state.u, np.zeros(2), atol=1e-15)
 
+    @pytest.mark.parametrize("reward", ["1", None, float("nan"), float("inf")])
+    def test_a_refused_reward_leaves_the_state_as_it_was(self, reward):
+        state = new_learner_state(2, solve_min_rounds=1)
+        x = np.array([0.5, -0.5])
+        with pytest.raises(ValueError, match=f"^reward must be a number, got {reward!r}$"):
+            apply_update(state, reward, x, x * x)
+        assert state.t == 0 and not state.v_tilde.any() and not state.rhs[:, 0].any()
+
     def test_solve_waits_for_min_rounds(self):
         state = new_learner_state(2, solve_min_rounds=3)
         x = np.array([1.0, 0.0])
