@@ -33,7 +33,6 @@ __all__ = [
     "MessageCodecError",
     "LatticeMembershipError",
     "BitBuffer",
-    "q_size",
     "LatticeEnumerator",
     "lattice_enumerator",
     "bit_budget",
@@ -93,12 +92,6 @@ class BitBuffer:
 # --------------------------------------------------------------------------
 # lattice enumeration
 # --------------------------------------------------------------------------
-
-def q_size(d: int) -> int:
-    """Number of nonnegative integer d-vectors with coordinate sum <= 2d."""
-    d = _integer(d, "dimension", 1)
-    return math.comb(3 * d, d)
-
 
 class LatticeEnumerator:
     """Lexicographic rank/unrank over {v in N^d : ||v||_1 <= 2d}.

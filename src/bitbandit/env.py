@@ -29,7 +29,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .quantizer import _BOUNDARY_TOL, AssumptionViolation, _integer, _real
+from .quantizer import _BOUNDARY_TOL, AssumptionViolation, _frozen, _integer, _real
 
 __all__ = [
     "GaussianProjected",
@@ -44,10 +44,8 @@ __all__ = [
     "sample_contexts",
     "sample_rounds",
     "context_mean",
-    "mean_reward",
     "realize_reward",
     "reward_of",
-    "regret_gap",
     "regret_step",
     "TRACE_FIELDS",
     "write_table",
@@ -113,7 +111,7 @@ class GaussianProjected(_Law):
         object.__setattr__(self, "scales", tuple(_real(c, f"scales[{a}]", 0.0)
                                                  for a, c in enumerate(self.scales)))
         # per-action standard deviations, shaped to scale an (n, K, d) draw
-        object.__setattr__(self, "_stds", np.sqrt(np.asarray(self.scales))[None, :, None])
+        object.__setattr__(self, "_stds", _frozen(np.sqrt(self.scales)[None, :, None]))
 
     def check(self, d: int, n_actions: int) -> list[str]:
         return [] if len(self.scales) == n_actions else ["one Gaussian scale per action required"]
@@ -199,10 +197,9 @@ class CustomDiscrete(_Law):
         if len(self.supports) != len(self.probs):
             raise ValueError(f"one probs table per support table required, got "
                              f"{len(self.probs)} for {len(self.supports)}")
-        # the tables as float arrays, converted once: every other method reads them so
+        # the tables as read-only float copies, made once: every other method reads them so
         for name in ("supports", "probs"):
-            object.__setattr__(self, name, tuple(np.asarray(t, dtype=float)
-                                                 for t in getattr(self, name)))
+            object.__setattr__(self, name, tuple(_frozen(t) for t in getattr(self, name)))
         for a, (sup, p) in enumerate(zip(self.supports, self.probs)):
             if sup.ndim != 2 or sup.shape[0] != p.size:
                 raise ValueError(f"action {a}: support/probs shape mismatch")
@@ -312,7 +309,7 @@ class EnvironmentSpec:
     horizon: int
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_star", np.asarray(self.theta_star, dtype=float))
+        object.__setattr__(self, "theta_star", _frozen(self.theta_star))
         problems = self.validate()
         if problems:
             raise ValueError("invalid environment spec: " + "; ".join(problems))
@@ -403,30 +400,23 @@ def context_mean(spec: EnvironmentSpec, action: int) -> np.ndarray:
 # rewards
 # --------------------------------------------------------------------------
 
-def mean_reward(spec: EnvironmentSpec, x: np.ndarray) -> float:
-    """Mapped mean reward of playing feature vector x: (<x, theta*> + 1) / 2."""
-    return _mapped_mean(float(np.dot(x, spec.theta_star)))
-
-
-def _mapped_mean(score: float) -> float:
-    """(score + 1) / 2 of a play's score <x, theta*>, which must be a number in [-1, 1]."""
-    try:
-        if abs(score) <= 1.0 + _BOUNDARY_TOL:  # NaN fails too, and a non-number raises
-            return min(max((score + 1.0) / 2.0, 0.0), 1.0)
-    except TypeError:
-        pass
-    raise AssumptionViolation(f"<x, theta*> must be a number in [-1, 1], got {score!r}")
-
-
 def realize_reward(spec: EnvironmentSpec, x: np.ndarray, rng: np.random.Generator) -> float:
-    """Draw one reward in [0, 1] with conditional mean mean_reward(spec, x)."""
+    """Draw one reward in [0, 1] with conditional mean (<x, theta*> + 1) / 2."""
     return reward_of(spec, float(np.dot(x, spec.theta_star)), rng.random())
 
 
 def reward_of(spec: EnvironmentSpec, score: float, u: float) -> float:
-    """The reward in [0, 1] that the round's reward uniform u gives a play of score
-    <x, theta*>, as np.dot(x, theta*) computes it."""
-    r = spec.noise_model.reward(_mapped_mean(score), u)
+    """The reward in [0, 1] that the round's reward uniform u, a number in [0, 1], gives
+    a play of score <x, theta*>, a number in [-1, 1] as np.dot(x, theta*) computes it.
+    Its mean is (score + 1) / 2."""
+    try:  # NaN fails too, and a non-number raises
+        checked = abs(score) <= 1.0 + _BOUNDARY_TOL and 0.0 <= u <= 1.0
+    except TypeError:
+        checked = False
+    if not checked:
+        _real(u, "u", 0.0, 1.0)  # names u when it is at fault, else the score is
+        raise AssumptionViolation(f"<x, theta*> must be a number in [-1, 1], got {score!r}")
+    r = spec.noise_model.reward(min(max((score + 1.0) / 2.0, 0.0), 1.0), u)
     if not 0.0 - _BOUNDARY_TOL <= r <= 1.0 + _BOUNDARY_TOL:
         raise AssumptionViolation(f"realized reward {r} outside [0, 1]")
     return min(max(r, 0.0), 1.0)
@@ -435,12 +425,6 @@ def reward_of(spec: EnvironmentSpec, score: float, u: float) -> float:
 # --------------------------------------------------------------------------
 # regret accounting
 # --------------------------------------------------------------------------
-
-def regret_gap(context_set: np.ndarray, theta_star: np.ndarray, action: int) -> float:
-    """Instantaneous regret max_a <X_a, theta*> - <X_action, theta*> (>= 0)."""
-    scores = np.vecdot(context_set, theta_star)
-    return float(scores.max() - scores[action])
-
 
 # trace CSV column -> the type it is read back as, in column order
 TRACE_FIELDS = {"t": int, "inst_regret": float, "cum_regret": float, "bits": int}
@@ -604,8 +588,10 @@ class RegretTrace:
 
 def regret_step(trace: RegretTrace, context_set: np.ndarray, theta_star: np.ndarray,
                 action: int, bits: int) -> RegretTrace:
-    """Append one round's regret and uplink bits to the trace."""
-    trace.extend([regret_gap(context_set, theta_star, action)], [bits])
+    """Append one round's regret max_a <X_a, theta*> - <X_action, theta*> (>= 0) and
+    its uplink bits to the trace."""
+    scores = np.vecdot(context_set, theta_star)
+    trace.extend([float(scores.max() - scores[action])], [bits])
     return trace
 
 

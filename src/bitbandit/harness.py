@@ -17,8 +17,7 @@ from dataclasses import Field, dataclass, field, fields
 import numpy as np
 import yaml
 
-from .env import (_ROUNDS_LIMIT, CONTEXT_LAWS, NOISE_LAWS, EnvironmentSpec, RegretTrace,
-                  read_table, write_table)
+from .env import _ROUNDS_LIMIT, CONTEXT_LAWS, NOISE_LAWS, EnvironmentSpec, RegretTrace, write_table
 from .known import (
     build_action_map,
     exact_xstar_obstacle,
@@ -38,14 +37,12 @@ __all__ = [
     "parse_config",
     "load_config",
     "config_to_dict",
-    "dump_config",
     "run_experiment",
     "ExperimentResult",
     "SeedFigures",
     "seed_figures",
     "summarize",
     "write_summary_csv",
-    "read_summary_csv",
     "default_checkpoints",
     "build_known_action_map",
     "SUMMARY_FIELDS",
@@ -171,7 +168,9 @@ _LEAF_READERS = {int: _integer, float: _real, str: _string}
 
 @dataclass
 class ExperimentConfig:
-    """A config, checked by _joint_problems whether parse_config or a caller builds it."""
+    """A config, checked by the rules of a config file whether parse_config or a caller
+    builds it: its sections are read through their _LAYOUT entries, the spec checked
+    itself, and _joint_problems ties them together."""
 
     schema: int
     spec: EnvironmentSpec
@@ -180,15 +179,33 @@ class ExperimentConfig:
     output_dir: str
 
     def __post_init__(self):
-        if problems := _joint_problems(self.spec, self.algorithm, self.seeds):
+        problems = []
+        # the grid's rows are _joint_problems' to check, which takes a NumPy array too
+        algo = {key: None if key == "theta_grid" else value
+                for key, value in _algorithm_node(self.algorithm).items()}
+        read = {key: _read(value, _LAYOUT[key], key, problems)
+                for key, value in (("schema", self.schema), ("algorithm", algo),
+                                   ("seeds", self.seeds), ("output_dir", self.output_dir))}
+        problems += _joint_problems(self.spec, self.algorithm if read["algorithm"] else None,
+                                    read["seeds"])
+        if problems:
             raise ConfigValidationError(problems)
+
+
+def _algorithm_node(algo: AlgorithmConfig) -> dict:
+    """The ``algorithm`` node of a config: its kind and every key set away from its
+    default, one whose default is None by ``is not None``, as a NumPy grid needs."""
+    node = {}
+    for f in fields(AlgorithmConfig):  # kind has no default: it is always set
+        value = getattr(algo, f.name)
+        if value is not None if f.default is None else value != f.default:
+            node[f.name] = value
+    return node
 
 
 def _joint_problems(spec, algo, seeds) -> list[str]:
     """The rules that tie a config's sections together; a section that did not read is None."""
     problems = []
-    if algo is not None and algo.kind not in _RUNS:
-        problems.append(f"algorithm.kind must be one of {'/'.join(_RUNS)}, got {algo.kind!r}")
     if algo is not None and algo.kind == "known":
         if (algo.theta_grid is None) == (algo.net_points is None):
             problems.append("known-dist learner needs exactly one of theta_grid or net_points")
@@ -244,8 +261,8 @@ def _read(value, shape, name: str, problems: list[str], where: str = ""):
     before = len(problems)
     if isinstance(shape, list):
         if not isinstance(value, (list, tuple)) or not value:
-            problems.append(f"{name} must be a {'non-empty ' if value == [] else ''}list, "
-                            f"got {value!r}")
+            empty = "non-empty " if isinstance(value, list) else ""  # == [] fails on arrays
+            problems.append(f"{name} must be a {empty}list, got {value!r}")
             return None
         out = [_read(v, shape[0], f"{name}[{i}]", problems) for i, v in enumerate(value)]
     else:
@@ -283,8 +300,6 @@ def load_config(path) -> ExperimentConfig:
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Plain-types dict that parses back to an equivalent config."""
-    algo = {f.name: getattr(cfg.algorithm, f.name) for f in fields(AlgorithmConfig)
-            if f.name == "kind" or getattr(cfg.algorithm, f.name) != f.default}
     return {
         "schema": cfg.schema,
         "environment": {
@@ -295,16 +310,10 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             "noise_model": cfg.spec.noise_model.to_node(),
             "horizon": cfg.spec.horizon,
         },
-        "algorithm": algo,
+        "algorithm": _algorithm_node(cfg.algorithm),
         "seeds": list(cfg.seeds),
         "output_dir": cfg.output_dir,
     }
-
-
-def dump_config(cfg: ExperimentConfig, path) -> None:
-    """Write the config back out as YAML."""
-    with open(path, "w") as fh:
-        yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=False)
 
 
 # --------------------------------------------------------------------------
@@ -428,8 +437,3 @@ def write_summary_csv(rows: list[dict], path) -> None:
     """One line per row, in SUMMARY_FIELDS order."""
     write_table(path, SUMMARY_FIELDS, (tuple([row[name] for name in SUMMARY_FIELDS])
                                        for row in rows))
-
-
-def read_summary_csv(path) -> list[dict]:
-    """summary.csv's rows as dicts keyed by SUMMARY_FIELDS."""
-    return [dict(zip(SUMMARY_FIELDS, row)) for row in read_table(path, SUMMARY_FIELDS)]

@@ -28,7 +28,7 @@ from . import env as environment
 from .codec import BitBuffer, decode_known, encode_known
 from .env import EnvironmentSpec, RegretTrace
 from .env import regret_step  # noqa: F401  the layer name bench/child.py times here
-from .quantizer import _integer, _real, reward_bit
+from .quantizer import _frozen, _integer, _real, reward_bit
 
 __all__ = [
     "greedy_action",
@@ -102,15 +102,15 @@ def _xstar_row(supports, theta: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ActionMap:
-    """Menu of learner actions: theta grid and xstar table."""
+    """Menu of learner actions: theta grid and xstar table, held as read-only copies."""
 
     thetas: np.ndarray      # (n, d) candidate parameters
     table: np.ndarray       # (n, d) xstar(theta) per candidate
     provenance: str         # how the table was computed
 
     def __post_init__(self):
-        self.thetas = np.atleast_2d(np.asarray(self.thetas, dtype=float))
-        self.table = np.atleast_2d(np.asarray(self.table, dtype=float))
+        self.thetas = np.atleast_2d(_frozen(self.thetas))
+        self.table = np.atleast_2d(_frozen(self.table))
         if self.thetas.shape != self.table.shape or self.thetas.shape[0] < 1:
             raise ValueError("thetas and table must be matching (n, d) arrays")
 
@@ -129,7 +129,7 @@ def build_action_map(spec: EnvironmentSpec, thetas, method: str = "auto",
     if method != "monte-carlo" and obstacle is None:
         supports = spec.context_model.atoms(spec.d)  # built once for the whole grid
         table = [_xstar_row(supports, theta) for theta in thetas]
-        return ActionMap(thetas, np.array(table), "exact-enumeration")
+        return ActionMap(thetas, table, "exact-enumeration")
     if method == "exact":
         raise ValueError(f"exact xstar unavailable: {obstacle}")
     if rng is None:
@@ -164,7 +164,7 @@ def misspecify_xstar(amap: ActionMap, eps: float, rng: np.random.Generator) -> A
     dirs = rng.standard_normal(amap.table.shape)
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return ActionMap(
-        thetas=amap.thetas.copy(),
+        thetas=amap.thetas,
         table=amap.table + eps * dirs,
         provenance=f"{amap.provenance} + misspec(eps={eps})",
     )
@@ -344,9 +344,9 @@ def simulate(spec: EnvironmentSpec, seed: int, broadcast, channel: Channel, lear
     sample_context then realize_reward draw each round, the quantizer as
     ``channel.rows``.  The plays under a menu entry are computed for the whole
     block on the entry's first use in it.  One np.vecdot of the block's sets
-    with theta* gives every row's <x, theta*>, as mean_reward and regret_gap
-    compute it: the mean reward reads the played row's, the regret each set's
-    best less it, and the trace is filled a block at a time.
+    with theta* gives every row's <x, theta*>, as regret_step computes it: the
+    mean reward reads the played row's, the regret each set's best less it, and
+    the trace is filled a block at a time.
     """
     env_rng, quant_rng = seed_streams(seed)
     trace = RegretTrace(seed, capacity=spec.horizon)

@@ -35,7 +35,6 @@ __all__ = [
     "QuantizedContext",
     "magnitude_scale",
     "ContextGrid",
-    "context_grid",
     "quantize_context",
     "reward_bit",
     "reconstruct_context",
@@ -79,6 +78,14 @@ def _real(value, name: str, low: float | None = None, high: float | None = None)
         raise ValueError(f"{name} must be >= {low}, got {value}")
     if high is not None and out > high:
         raise ValueError(f"{name} must be <= {high}, got {value}")
+    return out
+
+
+def _frozen(value, dtype=float) -> np.ndarray:
+    """A read-only copy of ``value`` as an array of ``dtype``: what a checked object
+    stores, so that no later write, by its caller or through it, changes what it holds."""
+    out = np.array(value, dtype=dtype)
+    out.flags.writeable = False
     return out
 
 
@@ -144,14 +151,15 @@ class StochasticQuantizer:
 
 
 def reward_bit(r: float, u: float) -> int:
-    """A reward r in [0, 1] rounded to one bit by the uniform u: 1 with probability r.
-    It is StochasticQuantizer(1, 0.0, 1.0).encode(r, rng) for an rng that draws u,
-    its range check included."""
+    """A reward r in [0, 1] rounded to one bit by the uniform u, a number in [0, 1]: 1
+    with probability r.  It is StochasticQuantizer(1, 0.0, 1.0).encode(r, rng) for an
+    rng that draws u, its range check included."""
     try:
-        if -_BOUNDARY_TOL <= r <= 1.0 + _BOUNDARY_TOL:  # NaN fails too
+        if -_BOUNDARY_TOL <= r <= 1.0 + _BOUNDARY_TOL and 0.0 <= u <= 1.0:  # NaN fails too
             return int(u < r)
-    except TypeError:  # r or u is no number: _real names u if u is
-        _real(u, "u")
+    except TypeError:  # r or u is no number
+        pass
+    _real(u, "u", 0.0, 1.0)  # names u when it is at fault, else r is
     raise QuantizationRangeError(f"input {r} outside [0.0, 1.0]")
 
 
@@ -180,20 +188,13 @@ class ContextGrid(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def context_grid(m: int) -> ContextGrid:
-    """The ContextGrid of resolution m, built once per m; its arrays are read-only."""
-    bound = 3.0 / m
-    grid = ContextGrid(np.array([-1, 1], dtype=np.int8), np.array([-bound, bound]),
-                       np.array(float(m)), np.array(bound), np.array(1 / (2 * bound)))
-    for table in grid:
-        table.flags.writeable = False
-    return grid
-
-
-@lru_cache(maxsize=None)
 def _dimension_grid(d: int) -> ContextGrid:
-    """The ContextGrid of d-dimensional contexts, looked up once per dimension."""
-    return context_grid(magnitude_scale(d))
+    """The ContextGrid of d-dimensional contexts, resolution m = magnitude_scale(d),
+    built once per dimension; its arrays are read-only."""
+    m = magnitude_scale(d)
+    bound = 3.0 / m
+    return ContextGrid(_frozen([-1, 1], np.int8), _frozen([-bound, bound]), _frozen(m),
+                       _frozen(bound), _frozen(1 / (2 * bound)))
 
 
 class QuantizedContext(NamedTuple):

@@ -20,7 +20,6 @@ from bitbandit.codec import (
     encode_known,
     encode_unknown,
     lattice_enumerator,
-    q_size,
 )
 from bitbandit.quantizer import QuantizedContext, quantize_context
 
@@ -165,7 +164,7 @@ class TestLatticeEnumerator:
 
     @PROPERTY
     @given(st.integers(1, 64).flatmap(
-        lambda d: st.tuples(st.just(d), st.integers(0, q_size(d) - 1))))
+        lambda d: st.tuples(st.just(d), st.integers(0, lattice_enumerator(d).size - 1))))
     def test_rank_inverts_unrank_up_to_d64(self, d_and_rank):
         d, r = d_and_rank
         enum = lattice_enumerator(d)
@@ -201,9 +200,7 @@ class TestBitBudget:
             width = math.ceil(math.log2(math.comb(3 * d, d)))
             assert bit_budget(d) == 1 + 2 * d + width
 
-    def test_q_size_validation(self):
-        with pytest.raises(ValueError):
-            q_size(0)
+    def test_lattice_enumerator_refuses_dimension_zero(self):
         with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
             LatticeEnumerator(0)
 

@@ -165,7 +165,8 @@ def test_block_scores_equal_per_set_regret():
     stacked = np.vecdot(sets, spec.theta_star)
     for ctx, scores in zip(sets, stacked):
         for a in range(spec.n_actions):
-            assert scores.max() - scores[a] == environment.regret_gap(ctx, spec.theta_star, a)
+            trace = environment.regret_step(RegretTrace(0), ctx, spec.theta_star, a, bits=0)
+            assert scores.max() - scores[a] == trace.inst_regret[0]
 
 
 # --------------------------------------------------------------------------

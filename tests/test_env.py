@@ -25,11 +25,10 @@ from bitbandit.env import (
     TruncatedGaussian,
     assumption2_diagnostic,
     context_mean,
-    mean_reward,
     read_table,
     realize_reward,
-    regret_gap,
     regret_step,
+    reward_of,
     sample_context,
     sample_contexts,
 )
@@ -61,6 +60,17 @@ class TestEnvironmentSpec:
         with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
             dataclasses.replace(spec, horizon=0)
         assert spec.horizon == 100
+
+    def test_theta_star_is_a_read_only_copy(self):
+        """A write after the checks would skip them: the spec copies theta* and refuses
+        writes to it."""
+        theta = np.array([1.0])
+        spec = binary_spec(theta=theta)
+        theta[0] = 5.0
+        assert spec.theta_star.tolist() == [1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            spec.theta_star[0] = 5.0
+        assert spec.validate() == []
 
     def test_all_violations_reported(self):
         with pytest.raises(ValueError) as exc:
@@ -158,6 +168,15 @@ class TestContextModels:
         assert law.to_node()["actions"][0] == {"support": [[1.0, 0.0], [0.0, -1.0]],
                                                "probs": [1.0, 0.0]}
 
+    def test_a_law_holds_read_only_copies_of_its_tables(self):
+        support, probs = np.array([[0.5]]), np.array([1.0])
+        law = CustomDiscrete(supports=(support,), probs=(probs,))
+        support[0, 0], probs[0] = 7.0, 0.5  # the caller's float64 arrays, not the law's
+        assert law.supports[0].tolist() == [[0.5]] and law.probs[0].tolist() == [1.0]
+        for held in (law.supports[0], law.probs[0], GaussianProjected(scales=(0.5,))._stds):
+            with pytest.raises(ValueError, match="read-only"):
+                held.flat[0] = 4.0
+
     def test_gaussian_projected_norms(self):
         spec = EnvironmentSpec(
             d=3, n_actions=4, theta_star=np.full(3, 1 / math.sqrt(3)),
@@ -252,15 +271,16 @@ class TestContextModels:
 
 class TestRewards:
     def test_mean_reward_affine_map(self):
-        spec = binary_spec()
-        assert mean_reward(spec, np.array([1.0])) == 1.0
-        assert mean_reward(spec, np.array([-1.0])) == 0.0
-        assert mean_reward(spec, np.array([0.2])) == pytest.approx(0.6)
+        """reward_of maps a score s to the mean (s + 1) / 2, which noiseless rewards are."""
+        spec = dataclasses.replace(binary_spec(), noise_model=TruncatedGaussian(sigma=0.0))
+        assert reward_of(spec, 1.0, 0.5) == 1.0
+        assert reward_of(spec, -1.0, 0.5) == 0.0
+        assert reward_of(spec, 0.2, 0.5) == pytest.approx(0.6)
 
     def test_mean_reward_rejects_score_outside_band(self):
         spec = binary_spec()
         with pytest.raises(AssumptionViolation):
-            mean_reward(spec, np.array([1.5]))
+            reward_of(spec, 1.5, 0.5)
 
     def test_bernoulli_rewards_are_bits_with_correct_mean(self):
         spec = binary_spec()
@@ -499,7 +519,8 @@ class TestRegretTrace:
         ctx = np.array([[0.9], [0.1]])
         regret_step(trace, ctx, np.array([1.0]), action=1, bits=1)
         assert trace.inst_regret[-1] == pytest.approx(0.8)
-        assert regret_gap(ctx, np.array([1.0]), 0) == 0.0
+        regret_step(trace, ctx, np.array([1.0]), action=0, bits=1)
+        assert trace.inst_regret[-1] == 0.0
 
 
 class TestExcitationDiagnostic:

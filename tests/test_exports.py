@@ -1,7 +1,11 @@
 """The package's public names: each module's ``__all__``, declared once and re-exported."""
 
+import ast
 import importlib
+import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -38,3 +42,42 @@ def test_the_package_exports_every_declared_name():
         for name in mod.__all__:
             assert getattr(bitbandit, name, None) is getattr(mod, name), \
                 f"bitbandit.{name} is not bitbandit.{module}.{name}"
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+# Names no run, CLI command, docs/PROTOCOL.md or bench/child.py calls, each kept for a reason.
+_KEPT = {
+    "exact_xstar": "criterion-05 checks the xstar table against it",
+    "estimate_xstar": "criterion-05 checks the Monte-Carlo table against it",
+}
+
+
+def _text_without(mod, name: str) -> str:
+    """The module's source without the top-level statements that define ``name`` or
+    ``__all__``: what is left names ``name`` only where something uses it."""
+    source = inspect.getsource(mod)
+    lines = source.splitlines()
+    for node in ast.parse(source).body:
+        defined = ([t.id for t in node.targets if isinstance(t, ast.Name)]
+                   if isinstance(node, ast.Assign) else [getattr(node, "name", None)])
+        if name in defined or "__all__" in defined:
+            lines[node.lineno - 1:node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("module", sorted(DECLARING))
+def test_every_declared_name_has_a_caller_outside_the_tests(module):
+    """A public name is named in the package, docs/PROTOCOL.md or bench/child.py, or kept
+    for a stated reason: a helper only tests reach does not stay in src/."""
+    outside = [(_ROOT / path).read_text() for path in ("docs/PROTOCOL.md", "bench/child.py")]
+    unused = []
+    for name in DECLARING[module].__all__:
+        texts = outside + [_text_without(mod, name) for mod in _MODULES]
+        if name not in _KEPT and not any(re.search(rf"\b{name}\b", text) for text in texts):
+            unused.append(name)
+    assert not unused, f"bitbandit.{module} exports {unused}, which only tests call"
+
+
+def test_every_kept_name_is_declared():
+    declared = {name for mod in DECLARING.values() for name in mod.__all__}
+    assert set(_KEPT) <= declared

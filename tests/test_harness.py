@@ -13,20 +13,19 @@ import yaml
 
 import golden
 from bitbandit.cli import main as cli_main
-from bitbandit.env import RegretTrace
+from bitbandit.env import RegretTrace, read_table
 from bitbandit.harness import (
     _NET_POINTS_LIMIT,
     _ROUNDS_LIMIT,
     _XSTAR_SAMPLES_LIMIT,
+    SUMMARY_FIELDS,
     AlgorithmConfig,
     ConfigValidationError,
     SeedFigures,
     config_to_dict,
     default_checkpoints,
-    dump_config,
     load_config,
     parse_config,
-    read_summary_csv,
     run_experiment,
     seed_figures,
     summarize,
@@ -104,6 +103,14 @@ class TestConfigParsing:
         ({"algorithm": AlgorithmConfig("known", theta_grid=[[1.0, 0.0]])},
          {"algorithm__theta_grid": [[1.0, 0.0]]}),
         ({"algorithm": AlgorithmConfig("bogus")}, {"algorithm": {"kind": "bogus"}}),
+        ({"algorithm": AlgorithmConfig("unknown", net_points=5, ridge=-3.0)},
+         {"algorithm": {"kind": "unknown", "net_points": 5, "ridge": -3.0}}),
+        ({"algorithm": AlgorithmConfig("known", theta_grid=[[-1.0], [1.0]], ridge=-3.0)},
+         {"algorithm__ridge": -3.0}),
+        ({"seeds": [-1]}, {"seeds": [-1]}),
+        ({"seeds": []}, {"seeds": []}),
+        ({"output_dir": ""}, {"output_dir": ""}),
+        ({"schema": 2}, {"schema": 2}),
     ])
     def test_a_config_made_in_code_is_checked_like_the_same_yaml(self, change, overrides):
         cfg = parse_config(make_config())
@@ -112,6 +119,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigValidationError) as parsed:
             parse_config(make_config(**overrides))
         assert made.value.problems == parsed.value.problems
+
+    def test_a_grid_made_in_code_may_be_a_numpy_array(self):
+        """The grid alone is not read as a list of lists: its rows are checked against d."""
+        cfg = parse_config(make_config())
+        grid = np.array([[-1.0], [1.0]])
+        made = dataclasses.replace(cfg, algorithm=AlgorithmConfig("known", theta_grid=grid))
+        assert made.algorithm.theta_grid is grid
+        with pytest.raises(ConfigValidationError, match="rows must have length d=1"):
+            dataclasses.replace(cfg, algorithm=AlgorithmConfig("known", theta_grid=grid.T))
+
+    def test_seeds_made_in_code_must_be_a_list(self):
+        """The seeds' rule is the config file's: an array is refused by name."""
+        cfg = parse_config(make_config())
+        with pytest.raises(ConfigValidationError) as exc:
+            dataclasses.replace(cfg, seeds=np.array([0, 1]))
+        assert exc.value.problems == ["seeds must be a list, got array([0, 1])"]
 
     def test_an_empty_grid_in_code_is_no_grid(self):
         """A grid is picked by ``is None``, so an empty one is refused, not replaced by
@@ -374,7 +397,8 @@ class TestConfigParsing:
         cfg = parse_config(make_config(environment__context_model=CONTEXT_MODELS[context],
                                        environment__noise_model=NOISE_MODELS[noise]))
         path = tmp_path / "cfg.yaml"
-        dump_config(cfg, path)
+        with open(path, "w") as fh:
+            yaml.safe_dump(config_to_dict(cfg), fh, sort_keys=False)
         back = load_config(path)
         assert config_to_dict(back) == config_to_dict(cfg)
 
@@ -388,8 +412,9 @@ class TestRunExperiment:
             trace = RegretTrace.read_csv(path)
             assert len(trace) == figures.rounds == 60
             assert trace.total_regret == figures.total_regret
-        rows = read_summary_csv(result.summary_path)
-        assert rows == result.summary_rows
+        rows = result.summary_rows
+        assert list(read_table(result.summary_path, SUMMARY_FIELDS)) == [
+            tuple([row[name] for name in SUMMARY_FIELDS]) for row in rows]
         assert rows[-1]["t"] == 60
         assert rows[-1]["n_seeds"] == 2
         assert rows[-1]["mean_bits_per_round"] == 1.0
@@ -735,4 +760,5 @@ class TestCli:
             ["summarize", *result.trace_paths, "-o", str(out_path)]
         )
         assert code == 0
-        assert read_summary_csv(out_path) == result.summary_rows
+        assert list(read_table(out_path, SUMMARY_FIELDS)) == list(
+            read_table(result.summary_path, SUMMARY_FIELDS))

@@ -229,6 +229,16 @@ class TestActionMap:
         np.testing.assert_array_equal(a.table, b.table)
         assert "monte-carlo" in a.provenance
 
+    def test_holds_read_only_copies_of_its_arrays(self):
+        thetas, table = np.array([[1.0]]), np.array([[0.5]])
+        amap = known.ActionMap(thetas, table, "test")
+        thetas[0, 0] = table[0, 0] = 0.0  # the caller's arrays, not the map's
+        assert amap.thetas.tolist() == [[1.0]] and amap.table.tolist() == [[0.5]]
+        for held in (amap.thetas, amap.table, misspecify_xstar(
+                amap, 0.1, np.random.default_rng(0)).table):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0, 0] = 4.0
+
     def test_rows_of_thetas_and_table_must_match(self):
         with pytest.raises(ValueError, match="matching"):
             known.ActionMap(thetas=[[1.0]], table=[[1.0, 0.0]], provenance="test")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitbandit.codec import (BitBuffer, LatticeEnumerator, bit_budget, decode_unknown,
-                            lattice_enumerator, q_size)
+                            lattice_enumerator)
 from bitbandit.env import (
     Bernoulli,
     BinarySupport,
@@ -18,7 +18,6 @@ from bitbandit.env import (
     GaussianProjected,
     RegretTrace,
     TruncatedGaussian,
-    mean_reward,
     reward_of,
 )
 from bitbandit.known import (
@@ -34,7 +33,6 @@ from bitbandit.quantizer import (
     QuantizationRangeError,
     StochasticQuantizer,
     _enforce_l1_budget,
-    context_grid,
     magnitude_scale,
     quantize_context,
     reconstruct_context,
@@ -179,7 +177,6 @@ _TRACE.extend([0.5] * 5, [1] * 5)
 # that passes it v and returns what two equal counts must give alike.
 _COUNTS = {
     "magnitude_scale": ("dimension", magnitude_scale),
-    "q_size": ("dimension", q_size),
     "LatticeEnumerator": ("dimension", lambda v: LatticeEnumerator(v).unrank(7)),
     "lattice_enumerator": ("dimension", lambda v: lattice_enumerator(v).unrank(7)),
     "bit_budget": ("dimension", bit_budget),
@@ -294,15 +291,15 @@ _PER_ROUND = {
     "reward_of.truncated_gaussian": (AssumptionViolation,
                                      "<x, theta*> must be a number in [-1, 1], got {!r}",
                                      lambda v: reward_of(_ONE_D_GAUSSIAN_NOISE, v, 0.3)),
-    "mean_reward": (AssumptionViolation, "<x, theta*> must be a number in [-1, 1], got {!r}",
-                    lambda v: mean_reward(_ONE_D, np.array([v]))),
+    "reward_of.bernoulli.u": (ValueError, "u must be a number, got {!r}",
+                              lambda v: reward_of(_ONE_D, 0.3, v)),
+    "reward_of.truncated_gaussian.u": (ValueError, "u must be a number, got {!r}",
+                                       lambda v: reward_of(_ONE_D_GAUSSIAN_NOISE, 0.3, v)),
 }
 
 
-# mean_reward takes a vector, whose non-numbers fail in np.dot before there is a score;
-# reward_bit refused a NaN reward already, and it compares a uniform without a range check
-_NOT_CHECKED_HERE = {("mean_reward", "'x'"), ("mean_reward", "None"), ("reward_bit.r", "nan"),
-                  ("reward_bit.u", "nan")}
+# reward_bit refused a NaN reward already
+_NOT_CHECKED_HERE = {("reward_bit.r", "nan")}
 
 
 @pytest.mark.parametrize("entry, value", [
@@ -314,6 +311,17 @@ def test_a_per_round_call_refuses_a_non_number_by_name(entry, value):
     error, message, call = _PER_ROUND[entry]
     with pytest.raises(error, match=f"^{re.escape(message.format(value))}$"):
         call(value)
+
+
+@pytest.mark.parametrize("entry", ["reward_bit.u", "reward_of.bernoulli.u",
+                                   "reward_of.truncated_gaussian.u"])
+@pytest.mark.parametrize("u, message", [
+    (math.inf, "u must be a number, got inf"), (-math.inf, "u must be a number, got -inf"),
+    (-0.5, "u must be >= 0.0, got -0.5"), (1.5, "u must be <= 1.0, got 1.5")])
+def test_a_reward_uniform_outside_the_unit_interval_is_refused_by_name(entry, u, message):
+    """A round's reward uniform is a number in [0, 1]; any other is no silent reward bit."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _PER_ROUND[entry][2](u)
 
 
 class TestRewardBit:
@@ -399,7 +407,7 @@ class TestQuantizeContext:
                 assert qc.magnitudes.min() >= 0
                 assert qc.magnitudes.max() <= m
                 xhat, xsq_hat = reconstruct_context(qc)
-                assert np.all(np.isin(xsq_hat - xhat * xhat, context_grid(m).squares))
+                assert np.all(np.isin(xsq_hat - xhat * xhat, (-3.0 / m, 3.0 / m)))
 
     def test_l1_budget_never_exceeded(self):
         rng = np.random.default_rng(42)
