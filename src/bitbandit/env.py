@@ -83,13 +83,6 @@ class _Law:
         """The law of a node whose values are already laid out as node_shape()."""
         return cls(**node)
 
-    def to_node(self) -> dict:
-        node = {"kind": self.kind}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            node[f.name] = list(value) if isinstance(value, tuple) else value
-        return node
-
 
 # A context law also answers, for dimension d:
 #   check(d, n_actions) -> problems with its per-action tables;
@@ -218,10 +211,6 @@ class CustomDiscrete(_Law):
     def from_node(cls, node: dict) -> "CustomDiscrete":
         actions = node["actions"]
         return cls(supports=[a["support"] for a in actions], probs=[a["probs"] for a in actions])
-
-    def to_node(self) -> dict:
-        return {"kind": self.kind, "actions": [{"support": sup.tolist(), "probs": p.tolist()}
-                                               for sup, p in zip(self.supports, self.probs)]}
 
     def check(self, d: int, n_actions: int) -> list[str]:
         if len(self.supports) != n_actions:

@@ -1,7 +1,7 @@
 """Experiment harness: config files, seed fan-out, trace/summary CSVs.
 
-Configs are YAML with an explicit ``schema`` version.  A loaded config
-round-trips losslessly through :func:`config_to_dict`.  Every simulation
+Configs are YAML with an explicit ``schema`` version; a config made in code is
+checked by the same rules as one read from a file.  Every simulation
 writes one trace CSV per seed with header ``t,inst_regret,cum_regret,bits``
 plus a ``summary.csv`` over a fixed checkpoint grid; identical config and
 seed produce byte-identical files.
@@ -36,7 +36,6 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "load_config",
-    "config_to_dict",
     "run_experiment",
     "ExperimentResult",
     "SeedFigures",
@@ -180,11 +179,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         problems = []
-        # the grid's rows are _joint_problems' to check, which takes a NumPy array too
-        algo = {key: None if key == "theta_grid" else value
-                for key, value in _algorithm_node(self.algorithm).items()}
         read = {key: _read(value, _LAYOUT[key], key, problems)
-                for key, value in (("schema", self.schema), ("algorithm", algo),
+                for key, value in (("schema", self.schema),
+                                   ("algorithm", _algorithm_node(self.algorithm)),
                                    ("seeds", self.seeds), ("output_dir", self.output_dir))}
         problems += _joint_problems(self.spec, self.algorithm if read["algorithm"] else None,
                                     read["seeds"])
@@ -194,12 +191,12 @@ class ExperimentConfig:
 
 def _algorithm_node(algo: AlgorithmConfig) -> dict:
     """The ``algorithm`` node of a config: its kind and every key set away from its
-    default, one whose default is None by ``is not None``, as a NumPy grid needs."""
+    default, one whose default is None by ``is not None``, and a NumPy grid as lists."""
     node = {}
     for f in fields(AlgorithmConfig):  # kind has no default: it is always set
         value = getattr(algo, f.name)
         if value is not None if f.default is None else value != f.default:
-            node[f.name] = value
+            node[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
     return node
 
 
@@ -296,24 +293,6 @@ def load_config(path) -> ExperimentConfig:
     with open(path, "rb") as fh:  # bytes, so an undecodable file is a YAMLError
         raw = yaml.safe_load(fh)
     return parse_config(raw)
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Plain-types dict that parses back to an equivalent config."""
-    return {
-        "schema": cfg.schema,
-        "environment": {
-            "d": cfg.spec.d,
-            "actions": cfg.spec.n_actions,
-            "theta_star": cfg.spec.theta_star.tolist(),
-            "context_model": cfg.spec.context_model.to_node(),
-            "noise_model": cfg.spec.noise_model.to_node(),
-            "horizon": cfg.spec.horizon,
-        },
-        "algorithm": _algorithm_node(cfg.algorithm),
-        "seeds": list(cfg.seeds),
-        "output_dir": cfg.output_dir,
-    }
 
 
 # --------------------------------------------------------------------------

@@ -56,10 +56,11 @@ _BLOCK_VALUES = 8192  # context values per block of rounds that simulate draws: 
 _OUTER_VALUES = 1 << 17  # largest n d^2 whose menu outer products LinUcb tabulates: 1 MiB
 
 
-def greedy_action(context_set: np.ndarray, theta: np.ndarray) -> int:
-    """Index of the action maximizing <X_a, theta>; lowest index on ties.  The
+def greedy_action(sets: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Index of the action maximizing <X_a, theta> in a (K, d) set, or one per set of
+    a (rows, K, d) stack, as a NumPy integer or array; lowest index on ties.  The
     scores are np.vecdot's, as every context's score is (see bitbandit.env)."""
-    return int(np.vecdot(context_set, theta).argmax())
+    return np.vecdot(sets, theta).argmax(-1)
 
 
 # --------------------------------------------------------------------------
@@ -123,6 +124,9 @@ def build_action_map(spec: EnvironmentSpec, thetas, method: str = "auto",
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if thetas.ndim != 2 or thetas.shape[1] != spec.d:
         raise ValueError(f"theta rows must have length d={spec.d}, got shape {thetas.shape}")
+    bad = np.flatnonzero(~np.isfinite(thetas).all(axis=1))
+    if bad.size:
+        raise ValueError(f"theta row {bad[0]} must be finite, got {thetas[bad[0]].tolist()}")
     if method not in ("auto", "exact", "monte-carlo"):
         raise ValueError(f"unknown xstar method {method!r}")
     obstacle = exact_xstar_obstacle(spec)
@@ -140,7 +144,7 @@ def build_action_map(spec: EnvironmentSpec, thetas, method: str = "auto",
         for done in range(0, n_samples, _XSTAR_CHUNK):
             n = min(_XSTAR_CHUNK, n_samples - done)
             ctx = environment.sample_contexts(spec, n, rng)  # (n, K, d)
-            picks = np.vecdot(ctx, theta).argmax(axis=1)
+            picks = greedy_action(ctx, theta)
             acc += ctx[np.arange(n), picks].sum(axis=0)
     return ActionMap(thetas, table / n_samples, f"monte-carlo(n={n_samples})")
 
@@ -322,31 +326,23 @@ def seed_streams(seed: int) -> tuple[np.random.Generator, ...]:
                  for c in np.random.SeedSequence(_integer(seed, "seed", 0)).spawn(2))
 
 
-def _menu_plays(sets: np.ndarray, entry) -> list[int]:
-    """The actions a block's context sets get under a menu entry: the entry itself
-    when it is an action index, else greedy_action's action under it, a theta."""
-    if isinstance(entry, int):
-        return [entry] * len(sets)
-    return np.vecdot(sets, entry).argmax(axis=1).tolist()
-
-
 def simulate(spec: EnvironmentSpec, seed: int, broadcast, channel: Channel, learn,
              menu=None) -> RegretTrace:
     """Run the agent/channel/learner loop for spec.horizon rounds.
 
-    ``broadcast()`` gives a theta, under which the agent plays greedily, or,
-    with a ``menu``, the index of a menu entry: a theta, played greedily, or
-    an action index, played as is.  ``channel.send(x, r, q)`` returns what the
-    learner receives and its bits; ``learn(*received)`` feeds it in.  Draws
-    come from the seed's two streams, environment and quantizer.
+    ``broadcast()`` gives a theta, under which the agent plays greedily, or an
+    action index (an int), played as is; with a ``menu`` of thetas it gives the
+    index of the theta to play greedily under.  ``channel.send(x, r, q)``
+    returns what the learner receives and its bits; ``learn(*received)`` feeds
+    it in.  Draws come from the seed's two streams, environment and quantizer.
 
     Both streams are read a block of rounds at a time: the environment as
     sample_context then realize_reward draw each round, the quantizer as
-    ``channel.rows``.  The plays under a menu entry are computed for the whole
-    block on the entry's first use in it.  One np.vecdot of the block's sets
-    with theta* gives every row's <x, theta*>, as regret_step computes it: the
-    mean reward reads the played row's, the regret each set's best less it, and
-    the trace is filled a block at a time.
+    ``channel.rows``.  The plays under a menu theta are greedy_action's on the
+    whole block, computed on the theta's first use in it.  One np.vecdot of
+    the block's sets with theta* gives every row's <x, theta*>, as regret_step
+    computes it: the mean reward reads the played row's, the regret each set's
+    best less it, and the trace is filled a block at a time.
     """
     env_rng, quant_rng = seed_streams(seed)
     trace = RegretTrace(seed, capacity=spec.horizon)
@@ -361,12 +357,12 @@ def simulate(spec: EnvironmentSpec, seed: int, broadcast, channel: Channel, lear
         actions, bits = [], []
         for row, (ctx, u, q) in enumerate(zip(sets, uniforms.tolist(), quant)):
             order = broadcast()
-            if plays is None:
-                action = greedy_action(ctx, order)
-            else:
+            if plays is not None:
                 if plays[order] is None:
-                    plays[order] = _menu_plays(sets, menu[order])
+                    plays[order] = greedy_action(sets, menu[order]).tolist()
                 action = plays[order][row]
+            else:
+                action = order if isinstance(order, int) else int(greedy_action(ctx, order))
             r = environment.reward_of(spec, means[row][action], u)
             received, n_bits = channel.send(ctx[action], r, q)
             learn(*received)
@@ -377,7 +373,8 @@ def simulate(spec: EnvironmentSpec, seed: int, broadcast, channel: Channel, lear
 
 
 def _run_menu(spec: EnvironmentSpec, seed: int, actions, menu, lam: float) -> RegretTrace:
-    """LinUCB over ``actions``, its index broadcast as a ``menu`` entry: signed reward 2r - 1."""
+    """LinUCB over ``actions``, its index broadcast as a ``menu`` entry, or as the action
+    itself without a menu: signed reward 2r - 1."""
     policy = LinUcb(actions, lam=lam)
     return simulate(spec, seed, policy.select, one_bit_channel,
                     lambda bit: policy.update(2.0 * bit - 1.0), menu=menu)
@@ -397,4 +394,4 @@ def run_naive_baseline(spec: EnvironmentSpec, seed: int, lam: float = 1.0) -> Re
     conditioning on the context distribution.
     """
     means = [environment.context_mean(spec, a) for a in range(spec.n_actions)]
-    return _run_menu(spec, seed, means, range(spec.n_actions), lam)
+    return _run_menu(spec, seed, means, None, lam)

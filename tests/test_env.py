@@ -155,8 +155,8 @@ class TestEnvironmentSpec:
 
 class TestContextModels:
     def test_a_custom_law_converts_its_tables_once(self):
-        """Tables given as int lists are stored as float arrays, and atoms, mean and
-        the config node read those same arrays on every call."""
+        """Tables given as int lists are stored as float arrays, and atoms and mean
+        read those same arrays on every call."""
         law = CustomDiscrete(supports=([[1, 0], [0, -1]], [[0, 1]]), probs=([1, 0], [1]))
         for tables in (law.supports, law.probs):
             assert all(t.dtype == np.float64 for t in tables)
@@ -165,8 +165,6 @@ class TestContextModels:
             assert sup.dtype == p.dtype == np.float64
             assert again[0] is sup is stored[0] and again[1] is p is stored[1]
         assert law.mean(0, 2).tolist() == [1.0, 0.0]
-        assert law.to_node()["actions"][0] == {"support": [[1.0, 0.0], [0.0, -1.0]],
-                                               "probs": [1.0, 0.0]}
 
     def test_a_law_holds_read_only_copies_of_its_tables(self):
         support, probs = np.array([[0.5]]), np.array([1.0])

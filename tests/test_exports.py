@@ -49,30 +49,39 @@ _ROOT = Path(__file__).resolve().parent.parent
 _KEPT = {
     "exact_xstar": "criterion-05 checks the xstar table against it",
     "estimate_xstar": "criterion-05 checks the Monte-Carlo table against it",
+    "assumption2_diagnostic": "item 8's run manifest is to report it (ROADMAP item 7)",
 }
 
 
-def _text_without(mod, name: str) -> str:
-    """The module's source without the top-level statements that define ``name`` or
-    ``__all__``: what is left names ``name`` only where something uses it."""
-    source = inspect.getsource(mod)
-    lines = source.splitlines()
-    for node in ast.parse(source).body:
-        defined = ([t.id for t in node.targets if isinstance(t, ast.Name)]
-                   if isinstance(node, ast.Assign) else [getattr(node, "name", None)])
-        if name in defined or "__all__" in defined:
-            lines[node.lineno - 1:node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
-    return "\n".join(lines)
+def _defined(node: ast.stmt) -> set:
+    """The names a top-level statement binds: an assignment's targets, a def's name."""
+    if isinstance(node, ast.Assign):
+        return {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return {getattr(node, "name", None)}
+
+
+def _code_without(mod, name: str) -> str:
+    """The module's code without its comments, its docstrings and the top-level
+    statements that define ``name`` or ``__all__``: what is left names ``name``
+    only where code uses it, not where prose mentions it."""
+    tree = ast.parse(inspect.getsource(mod))
+    tree.body = [node for node in tree.body if not _defined(node) & {name, "__all__"}]
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if (isinstance(body, list) and body and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)):
+            node.body = body[1:] or [ast.Pass()]
+    return ast.unparse(tree)  # unparsing drops the comments
 
 
 @pytest.mark.parametrize("module", sorted(DECLARING))
 def test_every_declared_name_has_a_caller_outside_the_tests(module):
-    """A public name is named in the package, docs/PROTOCOL.md or bench/child.py, or kept
-    for a stated reason: a helper only tests reach does not stay in src/."""
+    """A public name is named in the package's code, docs/PROTOCOL.md or bench/child.py,
+    or kept for a stated reason: a helper only tests reach does not stay in src/."""
     outside = [(_ROOT / path).read_text() for path in ("docs/PROTOCOL.md", "bench/child.py")]
     unused = []
     for name in DECLARING[module].__all__:
-        texts = outside + [_text_without(mod, name) for mod in _MODULES]
+        texts = outside + [_code_without(mod, name) for mod in _MODULES]
         if name not in _KEPT and not any(re.search(rf"\b{name}\b", text) for text in texts):
             unused.append(name)
     assert not unused, f"bitbandit.{module} exports {unused}, which only tests call"

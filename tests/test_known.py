@@ -106,6 +106,22 @@ class TestGreedyAction:
             ctx[2] = ctx[0]
             assert greedy_action(ctx, rng.uniform(-1.0, 1.0, 16) / 4.0) != 2
 
+    @settings(max_examples=200)
+    @given(st.integers(1, 64), st.integers(1, 10), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_a_stack_gets_each_sets_own_pick(self, d, k, rows, seed):
+        """greedy_action of a (rows, K, d) stack is the pick of each set alone, also
+        where a set's best row is copied to other positions (the lowest one wins)."""
+        rng = np.random.default_rng(seed)
+        sets = rng.uniform(-1.0, 1.0, (rows, k, d)) / math.sqrt(d)
+        theta = rng.uniform(-1.0, 1.0, d) / math.sqrt(d)
+        for ctx in sets[rng.random(rows) < 0.5]:  # about half the sets copy their best row
+            ctx[rng.integers(0, k, 2)] = ctx[greedy_action(ctx, theta)]
+        picks = greedy_action(sets, theta)
+        assert picks.shape == (rows,)
+        assert picks.tolist() == [int(greedy_action(ctx, theta)) for ctx in sets]
+        scores = np.vecdot(sets, theta)
+        assert picks.tolist() == [np.flatnonzero(s == s.max())[0] for s in scores]
+
 
 class TestExactXstar:
     def test_two_action_binary_closed_form(self):
@@ -286,6 +302,18 @@ class TestActionMap:
             build_action_map(spec, np.zeros((4, 2)))
         with pytest.raises(ValueError, match=r"length d=3, got shape \(1, 2\)"):
             exact_xstar(spec, np.zeros(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("method", ["exact", "monte-carlo"])
+    def test_a_non_finite_theta_row_is_refused_by_name(self, method, bad):
+        spec = two_action_binary(0.25, 0.5)
+        with pytest.raises(ValueError, match=rf"^theta row 1 must be finite, got \[{bad}\]$"):
+            build_action_map(spec, [[1.0], [bad], [bad]], method, 100, np.random.default_rng(0))
+        one_row = {"exact": lambda: exact_xstar(spec, [bad]),
+                   "monte-carlo": lambda: estimate_xstar(spec, [bad], 1000,
+                                                         np.random.default_rng(0))}[method]
+        with pytest.raises(ValueError, match=rf"^theta row 0 must be finite, got \[{bad}\]$"):
+            one_row()
 
     @pytest.mark.parametrize("law", [
         BinarySupport(p_minus=(0.3, 0.6)),
