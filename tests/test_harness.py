@@ -6,6 +6,7 @@ import hashlib
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from bitbandit.harness import (
     SUMMARY_FIELDS,
     AlgorithmConfig,
     ConfigValidationError,
+    ExperimentConfig,
     SeedFigures,
     default_checkpoints,
     load_config,
@@ -29,7 +31,10 @@ from bitbandit.harness import (
     seed_figures,
     summarize,
 )
+from bitbandit.harness import _algorithm_node
 from bitbandit.quantizer import _integer, _real
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 BASE_CONFIG = {
     "schema": 1,
@@ -45,6 +50,30 @@ BASE_CONFIG = {
     "seeds": [0, 1],
     "output_dir": "results/demo",
 }
+
+
+# One config node per law, each valid for BASE_CONFIG's d=1 and two actions.
+CONTEXT_MODELS = {
+    "binary_support": BASE_CONFIG["environment"]["context_model"],
+    "custom": {"kind": "custom", "actions": [
+        {"support": [[1.0], [-0.5]], "probs": [0.25, 0.75]},
+        {"support": [[0.2]], "probs": [1.0]},
+    ]},
+    "gaussian_projected": {"kind": "gaussian_projected", "scales": [0.5, 1.0]},
+}
+NOISE_MODELS = {
+    "bernoulli": BASE_CONFIG["environment"]["noise_model"],
+    "truncated_gaussian": {"kind": "truncated_gaussian", "sigma": 0.3},
+}
+
+
+def rebuilt_in_code(cfg):
+    """``cfg`` made again from copies of its fields, as a caller would build it, so
+    the spec's and the config's checks run once more."""
+    algo = AlgorithmConfig(**{f.name: copy.deepcopy(getattr(cfg.algorithm, f.name))
+                              for f in dataclasses.fields(AlgorithmConfig)})
+    return ExperimentConfig(schema=cfg.schema, spec=dataclasses.replace(cfg.spec),
+                            algorithm=algo, seeds=list(cfg.seeds), output_dir=cfg.output_dir)
 
 
 def make_config(**overrides):
@@ -377,6 +406,46 @@ class TestConfigParsing:
         assert cli_main(["xstar", str(cfg_path)]) == 2
         assert f"at most the limit of {_NET_POINTS_LIMIT}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.yaml")), ids=lambda p: p.name)
+    def test_shipped_config_reads_the_same_rebuilt_in_code(self, path):
+        """A shipped config rebuilt from its fields passes the file's rules and is the
+        same config, and its algorithm node, the one ExperimentConfig reads, parses
+        back to the same algorithm."""
+        cfg = load_config(path)
+        again = rebuilt_in_code(cfg)
+        assert again.spec.digest() == cfg.spec.digest()
+        assert (again.schema, again.algorithm, again.seeds, again.output_dir) == \
+            (cfg.schema, cfg.algorithm, cfg.seeds, cfg.output_dir)
+        with open(path, "rb") as fh:
+            raw = yaml.safe_load(fh)
+        assert parse_config({**raw, "algorithm": _algorithm_node(cfg.algorithm)}).algorithm \
+            == cfg.algorithm
+
+    @pytest.mark.parametrize("noise", sorted(NOISE_MODELS))
+    @pytest.mark.parametrize("context", sorted(CONTEXT_MODELS))
+    def test_each_law_reads_the_same_rebuilt_in_code(self, context, noise):
+        """Every context and noise law passes the spec's checks again when its config
+        is rebuilt in code, and hashes the same."""
+        cfg = parse_config(make_config(environment__context_model=CONTEXT_MODELS[context],
+                                       environment__noise_model=NOISE_MODELS[noise]))
+        again = rebuilt_in_code(cfg)
+        assert again.spec is not cfg.spec
+        assert again.spec.digest() == cfg.spec.digest()
+
+    @pytest.mark.parametrize("noise", sorted(NOISE_MODELS))
+    @pytest.mark.parametrize("context", sorted(CONTEXT_MODELS))
+    def test_yaml_dump_and_load(self, context, noise, tmp_path):
+        """A config dict written as YAML loads as the config that dict parses to."""
+        raw = make_config(environment__context_model=CONTEXT_MODELS[context],
+                          environment__noise_model=NOISE_MODELS[noise])
+        path = tmp_path / "cfg.yaml"
+        with open(path, "w") as fh:
+            yaml.safe_dump(raw, fh, sort_keys=False)
+        back, cfg = load_config(path), parse_config(raw)
+        assert back.spec.digest() == cfg.spec.digest()
+        assert (back.algorithm, back.seeds, back.output_dir) == \
+            (cfg.algorithm, cfg.seeds, cfg.output_dir)
+
 
 class TestRunExperiment:
     def test_writes_traces_and_summary(self, tmp_path):
@@ -412,8 +481,7 @@ class TestRunExperiment:
 
     def test_naive_mean_runs_on_a_gaussian_law(self, tmp_path):
         # its menu is the per-action means, all zero for a symmetric Gaussian law
-        raw = make_config(environment__context_model={"kind": "gaussian_projected",
-                                                      "scales": [0.5, 1.0]},
+        raw = make_config(environment__context_model=CONTEXT_MODELS["gaussian_projected"],
                           environment__horizon=40, algorithm={"kind": "naive_mean"})
         result = run_experiment(parse_config(raw), base_dir=tmp_path)
         assert result.summary_rows[-1]["t"] == 40
